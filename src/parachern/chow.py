@@ -184,20 +184,23 @@ class CoverModel:
         if a.ring is not self.base.ring:
             raise RingMismatchError("element does not belong to the base ring")
         n = self._n_divisors
-        raw = {}
-        for mono, coeff in a.terms.items():
-            raw[mono] = coeff * Fraction(self.order) ** sum(mono[:n])
-        return RingElement(self.cover_ring, raw)
+        num = {mono: c * self.order ** sum(mono[:n]) for mono, c in a._num.items()}
+        return RingElement._from_numerators(self.cover_ring, num, a._den)
 
     def pushdown(self, b: RingElement) -> RingElement:
         """Inverse of :meth:`pullback`: scale each term by order^(-e)."""
         if b.ring is not self.cover_ring:
             raise RingMismatchError("element does not belong to the cover ring")
         n = self._n_divisors
-        raw = {}
-        for mono, coeff in b.terms.items():
-            raw[mono] = coeff * Fraction(1, self.order) ** sum(mono[:n])
-        return RingElement(self.base.ring, raw)
+        exponents = {mono: sum(mono[:n]) for mono in b._num}
+        top = max(exponents.values(), default=0)
+        num = {
+            mono: c * self.order ** (top - exponents[mono])
+            for mono, c in b._num.items()
+        }
+        return RingElement._from_numerators(
+            self.base.ring, num, b._den * self.order**top
+        )
 
 
 def make_cover(variety: Variety, order: int) -> CoverModel:

@@ -369,6 +369,9 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     args = build_arg_parser().parse_args(argv)
+    if args.max_denominator < 1:
+        print("error: --max-denominator needs a positive value", file=stderr)
+        return EXIT_SEMANTIC_ERROR
     if args.random is not None:
         if args.random < 1:
             print("error: --random needs a positive count", file=stderr)

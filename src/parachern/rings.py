@@ -3,20 +3,33 @@
 This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
 cutoff, normalized against a list of monomial substitution rules.
-Coefficients are `fractions.Fraction` throughout; nothing here touches
-floating point.
+
+An element stores exact integer numerators over one positive denominator
+per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
+only at the API: in constructor input, scalar operands and the coefficients
+that `terms` and `sorted_terms` hand out.  Each ring memoizes the normal
+form of every monomial it meets, so rewriting runs once per monomial and
+ring rather than once per product.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
 Rational = Union[int, Fraction]
 MonoSpec = Union[Mapping[str, int], Iterable[tuple[str, int]]]
+# Integer numerators over one positive denominator.
+Numerators = dict[Monomial, int]
+NormalForm = tuple[Numerators, int]
+
+# The normal form of a monomial above the cutoff; never mutated.
+_ZERO_FORM: NormalForm = ({}, 1)
 
 
 class RingMismatchError(ValueError):
@@ -41,6 +54,19 @@ def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
     return spec
 
 
+def _canonical(num: Numerators, den: int) -> NormalForm:
+    """Drop zero numerators and divide out the common gcd with ``den``."""
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    if not num:
+        return num, 1
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+        den //= g
+    return num, den
+
+
 class GradedRing:
     """Commutative polynomial ring over Q with graded generators, a degree
     cutoff and monomial substitution rules.
@@ -51,6 +77,10 @@ class GradedRing:
     by any rule's left side, bounded by ``rule_iteration_cap`` passes.  Rule
     right sides are themselves reduced to a fixpoint at construction time,
     so a non-terminating rule set is rejected when the ring is built.
+
+    Every rewrite pass is a linear map that fixes normal monomials, so the
+    normal form of a sum is the sum of the normal forms of its monomials.
+    The ring memoizes those per monomial on first use.
     """
 
     def __init__(
@@ -81,6 +111,10 @@ class GradedRing:
         self.cutoff = int(cutoff)
         self.rule_iteration_cap = int(rule_iteration_cap)
         self._zero_mono: Monomial = (0,) * len(names)
+        # Monomial at or below the cutoff -> (degree, normal form), where the
+        # form is None for a normal monomial.  Entries only ever get added,
+        # and two threads filling the same entry store equal values.
+        self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
         self._rules: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
         for idx, (lhs_spec, rhs_terms) in enumerate(rules):
             lhs = self.monomial(lhs_spec)
@@ -171,17 +205,22 @@ class GradedRing:
         return out
 
     def zero(self) -> RingElement:
-        return RingElement(self, {})
+        return RingElement._make(self, {}, 1)
 
     def one(self) -> RingElement:
-        return RingElement(self, {self._zero_mono: Fraction(1)})
+        return RingElement._make(self, {self._zero_mono: 1}, 1)
 
     def scalar(self, value: Rational) -> RingElement:
-        return RingElement(self, {self._zero_mono: Fraction(value)})
+        value = Fraction(value)
+        if not value:
+            return self.zero()
+        return RingElement._make(
+            self, {self._zero_mono: value.numerator}, value.denominator
+        )
 
     def generator(self, name: str) -> RingElement:
         mono = self.monomial({name: 1})
-        return RingElement(self, {mono: Fraction(1)})
+        return RingElement(self, {mono: 1})
 
     def generators(self) -> list[RingElement]:
         return [self.generator(name) for name in self._names]
@@ -223,9 +262,74 @@ class GradedRing:
             f"normalization did not stabilize within {self.rule_iteration_cap} passes"
         )
 
+    def _entry(self, mono: Monomial) -> tuple[int, Optional[NormalForm]]:
+        """Degree and normal form of a monomial; the form is None when the
+        monomial is normal and at or below the cutoff.  Fills the memo on
+        first use; monomials above the cutoff are not memoized."""
+        entry = self._memo.get(mono)
+        if entry is not None:
+            return entry
+        degree = self.monomial_degree(mono)
+        if degree > self.cutoff:
+            return degree, _ZERO_FORM
+        if self._matching_rule(mono) is None:
+            entry = (degree, None)
+        else:
+            form = self._normalize({mono: Fraction(1)})
+            den = lcm(*(c.denominator for c in form.values()))
+            num = {m: c.numerator * (den // c.denominator) for m, c in form.items()}
+            entry = (degree, (num, den))
+        self._memo[mono] = entry
+        return entry
+
+    def _expand(self, num: Numerators, den: int, pending: Numerators) -> NormalForm:
+        """Canonical form of (num + normal forms of the pending monomials)
+        / den.  ``num`` holds normal monomials only and may be consumed."""
+        if pending:
+            forms = [(self._entry(m)[1], c) for m, c in pending.items()]
+            scale = lcm(*(form_den for (_, form_den), _ in forms))
+            if scale != 1:
+                num = {m: c * scale for m, c in num.items()}
+                den *= scale
+            for (form_num, form_den), c in forms:
+                c *= scale // form_den
+                for m, fc in form_num.items():
+                    num[m] = num.get(m, 0) + c * fc
+        return _canonical(num, den)
+
+    def _rewrite(self, num: Numerators, den: int) -> NormalForm:
+        """Canonical form of ``num / den`` over arbitrary monomials."""
+        normal: Numerators = {}
+        pending: Numerators = {}
+        memo = self._memo
+        for mono, c in num.items():
+            form = (memo.get(mono) or self._entry(mono))[1]
+            (normal if form is None else pending)[mono] = c
+        return self._expand(normal, den, pending)
+
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self._names, self._degrees))
         return f"GradedRing([{gens}], cutoff={self.cutoff}, rules={len(self._rules)})"
+
+
+class _Terms(Mapping):
+    """Read-only view of an element's terms; builds each ``Fraction`` on
+    access."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: Numerators, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, mono: Monomial) -> Fraction:
+        return Fraction(self._num[mono], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
 
 
 class RingElement:
@@ -234,46 +338,78 @@ class RingElement:
     Immutable after construction; equality is exact equality of term maps
     within the same ring.  Arithmetic accepts ``int`` and ``Fraction``
     scalars on either side.
+
+    The terms are held as integer numerators ``_num`` over one denominator
+    ``_den``, in canonical form: ``_den > 0``, the gcd of ``_den`` and all
+    numerators is 1, no numerator is zero, and every monomial is normal and
+    at or below the cutoff.  The zero element has ``_den == 1``.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Rational]):
-        raw = {mono: Fraction(coeff) for mono, coeff in terms.items()}
+        coeffs = {mono: Fraction(coeff) for mono, coeff in terms.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self._set(ring, *ring._rewrite(num, den))
+
+    def _set(self, ring: GradedRing, num: Numerators, den: int):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", ring._normalize(raw))
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, ring: GradedRing, num: Numerators, den: int) -> RingElement:
+        """An element from numerators and a denominator already in
+        canonical form."""
+        element = object.__new__(cls)
+        element._set(ring, num, den)
+        return element
+
+    @classmethod
+    def _from_numerators(
+        cls, ring: GradedRing, num: Numerators, den: int
+    ) -> RingElement:
+        """The element ``num / den``, normalized, for any monomials."""
+        return cls._make(ring, *ring._rewrite(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return MappingProxyType(self._terms)
+        return _Terms(self._num, self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: self.ring.sort_key(kv[0]))
+        den = self._den
+        return sorted(
+            ((m, Fraction(c, den)) for m, c in self._num.items()),
+            key=lambda kv: self.ring.sort_key(kv[0]),
+        )
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def degree(self) -> int:
         """Largest total degree with a nonzero term (0 for the zero element)."""
-        if not self._terms:
-            return 0
-        return max(self.ring.monomial_degree(m) for m in self._terms)
+        entry = self.ring._entry
+        return max((entry(m)[0] for m in self._num), default=0)
 
     def graded_part(self, k: int) -> RingElement:
         """The sum of terms of total degree exactly ``k``."""
-        if k < 0 or k > self.ring.cutoff:
-            raise ValueError(f"degree {k} outside [0, {self.ring.cutoff}]")
+        ring = self.ring
+        if k < 0 or k > ring.cutoff:
+            raise ValueError(f"degree {k} outside [0, {ring.cutoff}]")
+        memo, entry = ring._memo, ring._entry
         picked = {
-            m: c for m, c in self._terms.items() if self.ring.monomial_degree(m) == k
+            m: c for m, c in self._num.items() if (memo.get(m) or entry(m))[0] == k
         }
-        return RingElement(self.ring, picked)
+        return RingElement._make(ring, *_canonical(picked, self._den))
 
     def is_homogeneous_of(self, k: int) -> bool:
-        return all(self.ring.monomial_degree(m) == k for m in self._terms)
+        entry = self.ring._entry
+        return all(entry(m)[0] == k for m in self._num)
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
@@ -288,15 +424,29 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            raw[mono] = raw.get(mono, Fraction(0)) + coeff
-        return RingElement(self.ring, raw)
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        den_a, den_b = self._den, o._den
+        if den_a == den_b:
+            num = dict(self._num)
+            scale_b = 1
+        else:
+            g = gcd(den_a, den_b)
+            scale_a, scale_b = den_b // g, den_a // g
+            num = {m: c * scale_a for m, c in self._num.items()}
+            den_a *= scale_a
+        for m, c in o._num.items():
+            num[m] = num.get(m, 0) + c * scale_b
+        return RingElement._make(self.ring, *_canonical(num, den_a))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, {m: -c for m, c in self._terms.items()})
+        return RingElement._make(
+            self.ring, {m: -c for m, c in self._num.items()}, self._den
+        )
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -311,15 +461,34 @@ class RingElement:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            num = {m: c * other.numerator for m, c in self._num.items()}
+            return RingElement._make(
+                self.ring, *_canonical(num, self._den * other.denominator)
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in o._terms.items():
-                prod = tuple(x + y for x, y in zip(ma, mb))
-                raw[prod] = raw.get(prod, Fraction(0)) + ca * cb
-        return RingElement(self.ring, raw)
+        ring = self.ring
+        memo = ring._memo
+        entry = ring._entry
+        # The right factor's terms by ascending degree, so the inner loop
+        # stops at the first product above the cutoff.
+        right = sorted(
+            (((memo.get(m) or entry(m))[0], m, c) for m, c in o._num.items()),
+            key=itemgetter(0),
+        )
+        num: Numerators = {}
+        pending: Numerators = {}
+        for ma, ca in self._num.items():
+            room = ring.cutoff - (memo.get(ma) or entry(ma))[0]
+            for degree, mb, cb in right:
+                if degree > room:
+                    break
+                prod = tuple(map(add, ma, mb))
+                target = num if (memo.get(prod) or entry(prod))[1] is None else pending
+                target[prod] = target.get(prod, 0) + ca * cb
+        return RingElement._make(ring, *ring._expand(num, self._den * o._den, pending))
 
     __rmul__ = __mul__
 
@@ -341,14 +510,18 @@ class RingElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring is other.ring and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == self.ring.scalar(other)._terms
+            other = self.ring.scalar(other)
+        if isinstance(other, RingElement):
+            return (
+                self.ring is other.ring
+                and self._den == other._den
+                and self._num == other._num
+            )
         return NotImplemented
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         out = []
         for mono, coeff in self.sorted_terms():

@@ -119,6 +119,17 @@ def test_no_input_is_usage_error():
     assert "scene file" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_max_denominator_rejected(tmp_path, cap):
+    scene = tmp_path / "worked.pch"
+    scene.write_text(WORKED)
+    for argv in (["--random", "1"], [str(scene)]):
+        code, out, err = run_capture([*argv, "--max-denominator", cap])
+        assert code == 3
+        assert out == ""
+        assert err == "error: --max-denominator needs a positive value\n"
+
+
 def test_verification_failure_exit_code(tmp_path, monkeypatch):
     # Corrupt the normalized classes via a test hook: the relation check
     # must fail with a reported residual and exit code 1.

@@ -39,5 +39,5 @@ def test_elements_are_immutable():
     with pytest.raises(AttributeError):
         element.ring = None
     with pytest.raises(TypeError):
-        element.terms[(0,)] = 1  # mapping proxy rejects writes
+        element.terms[(0,)] = 1  # the terms view rejects writes
     assert isinstance(element, RingElement)

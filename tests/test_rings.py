@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from parachern.chow import ChowDescription, build_variety, make_cover
 from parachern.rings import (
     GradedRing,
     RingElement,
@@ -27,6 +29,33 @@ def surface_ring():
 
 def plain_surface():
     return GradedRing([("D1", 1)], cutoff=2)
+
+
+def chain_ring():
+    # Rule coefficients are fractions; A^2 rewrites in two steps.
+    return GradedRing(
+        [("A", 1), ("B", 1), ("C", 1)],
+        cutoff=2,
+        rules=[
+            ({"A": 2}, [(2, {"B": 2})]),
+            ({"B": 2}, [(Fraction(1, 2), {"C": 2})]),
+        ],
+    )
+
+
+def deep_description():
+    # The shape of the large generated scenes: dim 5, four divisors and H.
+    return ChowDescription(
+        "Y",
+        5,
+        ("D1", "D2", "D3", "D4"),
+        (("H", 1),),
+        relations=(({"D1": 1, "D2": 1}, [(2, {"H": 2})]),),
+    )
+
+
+def deep_ring():
+    return build_variety(deep_description()).ring
 
 
 @pytest.fixture(scope="module")
@@ -107,14 +136,7 @@ def test_cyclic_rules_rejected():
 
 
 def test_rule_chain_normalizes():
-    ring = GradedRing(
-        [("A", 1), ("B", 1), ("C", 1)],
-        cutoff=2,
-        rules=[
-            ({"A": 2}, [(2, {"B": 2})]),
-            ({"B": 2}, [(Fraction(1, 2), {"C": 2})]),
-        ],
-    )
+    ring = chain_ring()
     a = ring.generator("A")
     c = ring.generator("C")
     assert a * a == c * c
@@ -308,3 +330,110 @@ def test_bridge_round_trip(data):
     recovered = chern_from_character(parts, rank)
     padded = classes + [ring.zero()] * (rank + 1 - len(classes))
     assert recovered == padded
+
+
+# --- integer kernel against the reference rewrite path ----------------------
+
+
+def raw_terms(ring):
+    """Term maps over arbitrary monomials, non-normal ones and ones above the
+    cutoff included, with rational coefficients."""
+    exponent = st.integers(min_value=0, max_value=ring.cutoff + 1)
+    mono = st.tuples(*[exponent] * len(ring.names))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.dictionaries(mono, coeff, max_size=6)
+
+
+def reference_mul(ring, a, b):
+    raw = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            prod = tuple(x + y for x, y in zip(ma, mb))
+            raw[prod] = raw.get(prod, Fraction(0)) + ca * cb
+    return ring._normalize(raw)
+
+
+def reference_add(ring, a, b):
+    raw = dict(a)
+    for mono, coeff in b.items():
+        raw[mono] = raw.get(mono, Fraction(0)) + coeff
+    return ring._normalize(raw)
+
+
+def assert_canonical(x):
+    ring = x.ring
+    assert x._den > 0
+    assert gcd(x._den, *x._num.values()) == 1
+    assert all(x._num.values())
+    for mono in x._num:
+        assert ring.monomial_degree(mono) <= ring.cutoff
+        assert ring._matching_rule(mono) is None
+    if x.is_zero:
+        assert x._den == 1
+
+
+RING_FACTORIES = [surface_ring, chain_ring, deep_ring]
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_kernel_matches_reference_rewrite(make_ring, data):
+    ring = make_ring()
+    raw_a = data.draw(raw_terms(ring))
+    raw_b = data.draw(raw_terms(ring))
+    scale = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    a, b = RingElement(ring, raw_a), RingElement(ring, raw_b)
+    nf_a, nf_b = ring._normalize(raw_a), ring._normalize(raw_b)
+    assert dict(a.terms) == nf_a
+    assert dict(b.terms) == nf_b
+    assert dict((a * b).terms) == reference_mul(ring, nf_a, nf_b)
+    assert dict((a + b).terms) == reference_add(ring, nf_a, nf_b)
+    assert dict((a * scale).terms) == ring._normalize(
+        {m: c * scale for m, c in nf_a.items()}
+    )
+    for k in range(ring.cutoff + 1):
+        assert dict(a.graded_part(k).terms) == ring._normalize(
+            {m: c for m, c in nf_a.items() if ring.monomial_degree(m) == k}
+        )
+
+
+@given(data=st.data())
+def test_cover_transport_matches_reference(data):
+    variety = build_variety(deep_description())
+    cm = make_cover(variety, 6)
+    n = len(variety.description.divisor_names)
+    raw = data.draw(raw_terms(variety.ring))
+    x = RingElement(variety.ring, raw)
+    up = cm.pullback(x)
+    assert dict(up.terms) == cm.cover_ring._normalize(
+        {m: c * 6 ** sum(m[:n]) for m, c in x.terms.items()}
+    )
+    assert_canonical(up)
+    down = cm.pushdown(up)
+    assert_canonical(down)
+    assert down == x
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_results_are_canonical(make_ring, data):
+    ring = make_ring()
+    a = RingElement(ring, data.draw(raw_terms(ring)))
+    b = RingElement(ring, data.draw(raw_terms(ring)))
+    divisor = data.draw(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    )
+    results = [a, a + b, a - b, -a, a * b, a / divisor, a / 3, a - a]
+    results.extend(a.graded_part(k) for k in range(ring.cutoff + 1))
+    for x in results:
+        assert_canonical(x)
+    assert (a - a).is_zero and (a - a)._den == 1
+
+
+def test_scalar_round_trips_are_exact(ring):
+    d1 = ring.generator("D1")
+    assert (d1 / 3) * 3 == d1
+    assert (d1 / 3)._den == 3
+    x = Fraction(5, 18) * d1 ** 2 + d1 / 4
+    assert x - x == ring.zero()
+    assert (x - x)._den == 1
