@@ -2,10 +2,11 @@
 
 The package models Chow rings as truncated graded polynomial rings over
 exact rationals, presents parabolic bundles as weighted sums of bundle
-classes, computes their Chern classes through a formal cover, and verifies
-the defining tautological-line-bundle relation together with the direct
-sum, dual and tensor identities.  A small scene language and a CLI drive
-everything from text files.
+classes, and computes their Chern classes from the Chern character on the
+base.  It verifies the classes on a formal cover, through the defining
+tautological-line-bundle relation and pullback compatibility, and checks the
+direct sum, dual and tensor identities.  A small scene language and a CLI
+drive everything from text files.
 """
 
 from .rings import (
@@ -34,7 +35,6 @@ from .bundles import (
     ParabolicBundle,
     character_element,
     chern_character,
-    chern_polynomial,
     cover_bundle,
     cover_order,
     direct_sum,
@@ -92,7 +92,6 @@ __all__ = [
     "ParabolicBundle",
     "character_element",
     "chern_character",
-    "chern_polynomial",
     "cover_bundle",
     "cover_order",
     "direct_sum",

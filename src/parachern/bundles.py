@@ -2,16 +2,21 @@
 
 A parabolic bundle here is a finite direct sum of summands, each an
 ordinary bundle class together with a rational weight in [0, 1) per divisor
-component.  All derived data (the cover order, the bundle induced on the
-cover, Chern classes and character) is computed from that presentation.
+component.  Each bundle derives its data lazily and at most once: the cover
+order, the Chern character and the Chern classes, all on the base; and,
+for the verifiers only, the cover of minimal order with the induced
+bundle's classes and the projective bundle ring built on them.  Pullback
+to the cover is a ring isomorphism, so the base classes equal the cover
+classes carried back down, and the verifiers compare the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .chow import CoverModel, Variety, make_cover
 from .rings import (
@@ -22,6 +27,9 @@ from .rings import (
     chern_from_character,
     exp_nilpotent,
 )
+
+if TYPE_CHECKING:
+    from .grothendieck import ProjBundleRing
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
 
@@ -62,6 +70,10 @@ class OrdinaryBundleClass:
         return out
 
     def character(self) -> RingElement:
+        return self._character
+
+    @cached_property
+    def _character(self) -> RingElement:
         parts = character_from_chern(self.chern_list(), self.rank)
         total = self.ring.zero()
         for part in parts:
@@ -132,15 +144,55 @@ class ParabolicBundle:
     def ring(self) -> GradedRing:
         return self.variety.ring
 
+    @cached_property
+    def order(self) -> int:
+        """Least common multiple of all weight denominators; 1 when every
+        weight vanishes."""
+        n = 1
+        for _, weights in self.summands:
+            for _, w in weights:
+                n = lcm(n, w.denominator)
+        return n
+
+    @cached_property
+    def character(self) -> RingElement:
+        """The full Chern character on the base: each summand's character
+        twisted by exp of its weighted divisors."""
+        ring = self.ring
+        acc = ring.zero()
+        for bundle, weights in self.summands:
+            twist = ring.zero()
+            for name, w in weights:
+                twist = twist + w * ring.generator(name)
+            acc = acc + bundle.character() * exp_nilpotent(twist)
+        return acc
+
+    @cached_property
+    def classes(self) -> tuple[RingElement, ...]:
+        """Chern classes c_0..c_rank, read off the base character."""
+        ch = self.character
+        parts = [ch.graded_part(k) for k in range(self.ring.cutoff + 1)]
+        return tuple(chern_from_character(parts, self.rank))
+
+    @cached_property
+    def cover(self) -> tuple[CoverModel, tuple[RingElement, ...]]:
+        """The cover of minimal order and the Chern classes c_0..c_rank of
+        the bundle induced on it; only the verifiers need these."""
+        cm = make_cover(self.variety, self.order)
+        return cm, tuple(cover_bundle(self, cm).chern_list())
+
+    @cached_property
+    def projective_ring(self) -> ProjBundleRing:
+        """The Chow ring of the projectivized cover bundle."""
+        from .grothendieck import ProjBundleRing  # grothendieck imports this module
+
+        cm, upstairs = self.cover
+        return ProjBundleRing(cm.cover_ring, upstairs[1:])
+
 
 def cover_order(E: ParabolicBundle) -> int:
-    """Least common multiple of all weight denominators; 1 when every
-    weight vanishes."""
-    n = 1
-    for _, weights in E.summands:
-        for _, w in weights:
-            n = lcm(n, w.denominator)
-    return n
+    """The bundle's cover order, :attr:`ParabolicBundle.order`."""
+    return E.order
 
 
 def weight_multiplicities(
@@ -252,45 +304,25 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
 
 
 def parabolic_chern(E: ParabolicBundle) -> list[RingElement]:
-    """Classes c_0..c_rank on the base: the cover bundle's classes carried
-    back down through the cover of minimal order."""
-    cm = make_cover(E.variety, cover_order(E))
-    upstairs = cover_bundle(E, cm)
-    return [cm.pushdown(c) for c in upstairs.chern_list()]
+    """Classes c_0..c_rank on the base, computed from the base character;
+    they equal the cover bundle's classes carried back down the cover."""
+    return list(E.classes)
 
 
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:
     """The normalized classes entering the tautological relation: the i-th
     Chern class divided by order^(rank - i), so index 0 is 1/order^rank."""
-    n = cover_order(E)
+    n = E.order
     r = E.rank
     return [c / Fraction(n) ** (r - i) for i, c in enumerate(parabolic_chern(E))]
 
 
 def character_element(E: ParabolicBundle) -> RingElement:
     """The full Chern character computed directly on the base ring."""
-    ring = E.ring
-    acc = ring.zero()
-    for bundle, weights in E.summands:
-        twist = ring.zero()
-        for name, w in weights:
-            twist = twist + w * ring.generator(name)
-        acc = acc + bundle.character() * exp_nilpotent(twist)
-    return acc
+    return E.character
 
 
 def chern_character(E: ParabolicBundle) -> list[RingElement]:
     """Graded parts 0..cutoff of :func:`character_element`."""
     ch = character_element(E)
     return [ch.graded_part(k) for k in range(E.ring.cutoff + 1)]
-
-
-def chern_polynomial(E: ParabolicBundle, up_to: int | None = None) -> list[RingElement]:
-    """Coefficient list of the Chern polynomial, optionally padded or
-    truncated to the requested degree."""
-    classes = parabolic_chern(E)
-    if up_to is None:
-        return classes
-    if up_to < len(classes) - 1:
-        return classes[: up_to + 1]
-    return classes + [E.ring.zero()] * (up_to - len(classes) + 1)

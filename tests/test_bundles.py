@@ -11,7 +11,6 @@ from parachern.bundles import (
     ParabolicBundle,
     character_element,
     chern_character,
-    chern_polynomial,
     cover_bundle,
     cover_order,
     direct_sum,
@@ -300,10 +299,10 @@ def test_chern_polynomial_whitney_by_hand(surface):
     d1 = ring.generator("D1")
     a = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(1, 3)}),))
     b = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(2, 3)}),))
-    ca, cb = chern_polynomial(a), chern_polynomial(b)
+    ca, cb = parabolic_chern(a), parabolic_chern(b)
     assert ca == [ring.one(), d1 / 3]
     assert cb == [ring.one(), Fraction(2, 3) * d1]
-    combined = chern_polynomial(direct_sum(a, b))
+    combined = parabolic_chern(direct_sum(a, b))
     product = [
         ca[0] * cb[0],
         ca[0] * cb[1] + ca[1] * cb[0],
@@ -311,15 +310,6 @@ def test_chern_polynomial_whitney_by_hand(surface):
     ]
     assert combined == product
     assert combined == [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
-
-
-def test_chern_polynomial_padding(surface):
-    E = worked_example(surface)
-    padded = chern_polynomial(E, up_to=4)
-    assert len(padded) == 5
-    assert padded[3].is_zero and padded[4].is_zero
-    truncated = chern_polynomial(E, up_to=1)
-    assert truncated == parabolic_chern(E)[:2]
 
 
 # --- structural properties ---------------------------------------------------
@@ -352,6 +342,19 @@ def test_two_path_character_consistency(data):
     E = data.draw(random_bundle(variety))
     cm = make_cover(variety, cover_order(E))
     assert cm.pushdown(cover_bundle(E, cm).character()) == character_element(E)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_base_classes_equal_cover_classes(data, k):
+    # The base-path classes rest on pullback being a ring isomorphism: they
+    # must equal the cover bundle's classes carried down any compatible cover.
+    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    E = data.draw(random_bundle(variety))
+    F = data.draw(random_bundle(variety))
+    for G in (E, dual(E), tensor(E, F), direct_sum(E, F)):
+        cm = make_cover(G.variety, k * cover_order(G))
+        upstairs = cover_bundle(G, cm).chern_list()
+        assert parabolic_chern(G) == [cm.pushdown(c) for c in upstairs]
 
 
 @given(st.data())

@@ -1,19 +1,25 @@
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from parachern import bundles, chow, grothendieck
 from parachern.chow import ChowDescription, build_variety, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
     character_element,
+    chern_character,
     parabolic_chern,
     relation_classes,
     tensor,
     trivial_line,
 )
+from parachern.cli import execute_scene
 from parachern.grothendieck import (
     ProjBundleRing,
     solve_from_relation,
@@ -22,6 +28,7 @@ from parachern.grothendieck import (
     verify_relation,
 )
 from parachern.rings import RingMismatchError, exp_nilpotent
+from parachern.scenegen import random_elaborated_scene
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +217,20 @@ def test_cover_pullback_weightless(surface):
     assert verify_cover_pullback(E)
 
 
+def test_cover_pullback_is_independent_of_cover_bundle(surface, monkeypatch):
+    # A cover bundle that is off by the cover divisor in degree 1 must fail
+    # the check: the base classes may not come from the same call.
+    true_cover_bundle = bundles.cover_bundle
+
+    def corrupted(E, cm):
+        good = true_cover_bundle(E, cm)
+        return OrdinaryBundleClass(good.rank, good.total_chern + cm.divisor("D1"))
+
+    for module in (bundles, grothendieck):
+        monkeypatch.setattr(module, "cover_bundle", corrupted, raising=False)
+    assert not verify_cover_pullback(worked_example(surface))
+
+
 # --- pair identities --------------------------------------------------------------
 
 
@@ -250,3 +271,60 @@ def test_corrupted_tensor_would_fail(surface):
     assert character_element(good) == product
     assert character_element(bad) != product
     assert character_element(bad) == exp_nilpotent(d1 / 3)
+
+
+# --- derived data ---------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Count calls to ``owners[0].name`` through every owner that holds it."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cover_and_projective_ring_are_built_once(surface, monkeypatch):
+    counts = {
+        "make_cover": _count_calls(
+            monkeypatch, (chow, bundles, grothendieck), "make_cover"
+        ),
+        "cover_bundle": _count_calls(
+            monkeypatch, (bundles, grothendieck), "cover_bundle"
+        ),
+        "ProjBundleRing": _count_calls(monkeypatch, (ProjBundleRing,), "__init__"),
+    }
+    E = worked_example(surface)
+    for _ in range(2):
+        parabolic_chern(E)
+        relation_classes(E)
+        chern_character(E)
+        assert verify_relation(E).passed
+        assert solve_from_relation(E) == parabolic_chern(E)
+        assert verify_cover_pullback(E)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "make_cover": 1,
+        "cover_bundle": 1,
+        "ProjBundleRing": 1,
+    }
+
+
+def test_scene_is_freed_without_the_cycle_collector():
+    # Derived data lives on the bundles and refers only downwards, so a
+    # verified scene is freed by reference counting alone.
+    gc.disable()
+    try:
+        scene = random_elaborated_scene(random.Random(5))
+        execute_scene(scene, verify_all=True)
+        variety = weakref.ref(scene.variety)
+        del scene
+        assert variety() is None
+    finally:
+        gc.enable()
