@@ -20,9 +20,7 @@ from parachern import (  # noqa: E402
     ParabolicBundle,
     build_variety,
     chern_character,
-    cover_bundle,
     cover_order,
-    make_cover,
     parabolic_chern,
     relation_classes,
     solve_from_relation,
@@ -48,9 +46,8 @@ def main() -> int:
     print(f"chern classes        : {[str(c) for c in parabolic_chern(E)]}")
     print(f"relation classes     : {[str(c) for c in relation_classes(E)]}")
 
-    cm = make_cover(X, order)
-    upstairs = cover_bundle(E, cm)
-    print(f"cover bundle classes : {upstairs.total_chern}")
+    _, upstairs = E.cover
+    print(f"cover bundle classes : {[str(c) for c in upstairs]}")
 
     check = verify_relation(E)
     print(f"defining relation    : {'PASS' if check.passed else check.residual}")

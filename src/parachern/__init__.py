@@ -18,7 +18,6 @@ from .rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
-    log_unipotent,
 )
 from .chow import (
     ChowDescription,
@@ -35,16 +34,15 @@ from .bundles import (
     ParabolicBundle,
     character_element,
     chern_character,
+    chern_classes,
     cover_bundle,
     cover_order,
     direct_sum,
     dual,
-    line_bundle,
     parabolic_chern,
     relation_classes,
     tensor,
     trivial_line,
-    weight_multiplicities,
 )
 from .grothendieck import (
     PairIdentityChecks,
@@ -79,7 +77,6 @@ __all__ = [
     "character_from_chern",
     "chern_from_character",
     "exp_nilpotent",
-    "log_unipotent",
     "ChowDescription",
     "CoverModel",
     "MissingIntegralError",
@@ -92,16 +89,15 @@ __all__ = [
     "ParabolicBundle",
     "character_element",
     "chern_character",
+    "chern_classes",
     "cover_bundle",
     "cover_order",
     "direct_sum",
     "dual",
-    "line_bundle",
     "parabolic_chern",
     "relation_classes",
     "tensor",
     "trivial_line",
-    "weight_multiplicities",
     "PairIdentityChecks",
     "ProjBundleElement",
     "ProjBundleRing",

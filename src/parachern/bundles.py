@@ -2,12 +2,13 @@
 
 A parabolic bundle here is a finite direct sum of summands, each an
 ordinary bundle class together with a rational weight in [0, 1) per divisor
-component.  Each bundle derives its data lazily and at most once: the cover
-order, the Chern character and the Chern classes, all on the base; and,
-for the verifiers only, the cover of minimal order with the induced
-bundle's classes and the projective bundle ring built on them.  Pullback
-to the cover is a ring isomorphism, so the base classes equal the cover
-classes carried back down, and the verifiers compare the two.
+component.  An ordinary bundle class is entered as a total Chern class and
+stored as its Chern character.  Each bundle derives its data lazily and at
+most once: the cover order, the Chern character and the Chern classes, all
+on the base; and, for the verifiers only, the cover of minimal order with
+the induced bundle's classes and the projective bundle ring built on them.
+Pullback to the cover is a ring isomorphism, so the base classes equal the
+cover classes carried back down, and the verifiers compare the two.
 """
 
 from __future__ import annotations
@@ -36,57 +37,59 @@ WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
 DEFAULT_WEIGHT_DENOMINATOR_CAP = 10**6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OrdinaryBundleClass:
-    """A rank together with a total Chern class whose degree-0 part is 1 and
-    whose graded parts vanish above min(rank, cutoff)."""
+    """A rank together with a Chern character.
+
+    Entered as a total Chern class whose degree-0 part is 1 and whose
+    graded parts vanish above min(rank, cutoff); stored as its Chern
+    character, which is what sum, dual, tensor and the cover twist act on.
+    """
 
     rank: int
-    total_chern: RingElement
+    character: RingElement
 
-    def __post_init__(self):
-        if int(self.rank) < 1:
+    def __init__(self, rank: int, total_chern: RingElement):
+        if int(rank) < 1:
             raise ValueError("bundle rank must be a positive integer")
-        object.__setattr__(self, "rank", int(self.rank))
-        ring = self.total_chern.ring
-        if self.total_chern.graded_part(0) != ring.one():
+        rank = int(rank)
+        ring = total_chern.ring
+        if total_chern.graded_part(0) != ring.one():
             raise ValueError("total Chern class must have degree-0 part 1")
-        for k in range(min(self.rank, ring.cutoff) + 1, ring.cutoff + 1):
-            if not self.total_chern.graded_part(k).is_zero:
+        top = min(rank, ring.cutoff)
+        for k in range(top + 1, ring.cutoff + 1):
+            if not total_chern.graded_part(k).is_zero:
                 raise ValueError(
-                    f"Chern part of degree {k} exceeds the bundle rank {self.rank}"
+                    f"Chern part of degree {k} exceeds the bundle rank {rank}"
                 )
+        classes = [total_chern.graded_part(k) for k in range(top + 1)]
+        parts = character_from_chern(classes, rank)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "character", sum(parts[1:], parts[0]))
+
+    @classmethod
+    def _from_character(cls, rank: int, character: RingElement) -> OrdinaryBundleClass:
+        """A class from a character derived from valid classes; nothing is
+        re-checked."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "rank", rank)
+        object.__setattr__(bundle, "character", character)
+        return bundle
 
     @property
     def ring(self) -> GradedRing:
-        return self.total_chern.ring
+        return self.character.ring
 
-    def chern_list(self) -> list[RingElement]:
-        """Classes c_0..c_rank; parts above the ring cutoff are zero."""
-        ring = self.ring
-        out = []
-        for k in range(self.rank + 1):
-            out.append(self.total_chern.graded_part(k) if k <= ring.cutoff else ring.zero())
-        return out
 
-    def character(self) -> RingElement:
-        return self._character
-
-    @cached_property
-    def _character(self) -> RingElement:
-        parts = character_from_chern(self.chern_list(), self.rank)
-        total = self.ring.zero()
-        for part in parts:
-            total = total + part
-        return total
+def chern_classes(character: RingElement, rank: int) -> tuple[RingElement, ...]:
+    """Chern classes c_0..c_rank of a rank-``rank`` character; classes
+    above the ring cutoff are zero."""
+    parts = [character.graded_part(k) for k in range(character.ring.cutoff + 1)]
+    return tuple(chern_from_character(parts, rank))
 
 
 def trivial_line(ring: GradedRing) -> OrdinaryBundleClass:
     return OrdinaryBundleClass(1, ring.one())
-
-
-def line_bundle(ring: GradedRing, first_chern: RingElement) -> OrdinaryBundleClass:
-    return OrdinaryBundleClass(1, ring.one() + first_chern)
 
 
 Summand = tuple[OrdinaryBundleClass, tuple[tuple[str, Fraction], ...]]
@@ -164,22 +167,20 @@ class ParabolicBundle:
             twist = ring.zero()
             for name, w in weights:
                 twist = twist + w * ring.generator(name)
-            acc = acc + bundle.character() * exp_nilpotent(twist)
+            acc = acc + bundle.character * exp_nilpotent(twist)
         return acc
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
         """Chern classes c_0..c_rank, read off the base character."""
-        ch = self.character
-        parts = [ch.graded_part(k) for k in range(self.ring.cutoff + 1)]
-        return tuple(chern_from_character(parts, self.rank))
+        return chern_classes(self.character, self.rank)
 
     @cached_property
     def cover(self) -> tuple[CoverModel, tuple[RingElement, ...]]:
         """The cover of minimal order and the Chern classes c_0..c_rank of
         the bundle induced on it; only the verifiers need these."""
         cm = make_cover(self.variety, self.order)
-        return cm, tuple(cover_bundle(self, cm).chern_list())
+        return cm, chern_classes(cover_bundle(self, cm).character, self.rank)
 
     @cached_property
     def projective_ring(self) -> ProjBundleRing:
@@ -193,20 +194,6 @@ class ParabolicBundle:
 def cover_order(E: ParabolicBundle) -> int:
     """The bundle's cover order, :attr:`ParabolicBundle.order`."""
     return E.order
-
-
-def weight_multiplicities(
-    E: ParabolicBundle, divisor: str
-) -> list[tuple[Fraction, int]]:
-    """Distinct weights on one divisor, sorted increasing, each with the
-    total rank of the summands carrying it."""
-    if divisor not in E.variety.description.divisor_names:
-        raise ValueError(f"unknown divisor {divisor!r}")
-    acc: dict[Fraction, int] = {}
-    for bundle, weights in E.summands:
-        w = dict(weights).get(divisor, Fraction(0))
-        acc[w] = acc.get(w, 0) + bundle.rank
-    return sorted(acc.items())
 
 
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
@@ -226,17 +213,6 @@ def _conjugate_character(ch: RingElement) -> RingElement:
     return acc
 
 
-def _bundle_from_character(
-    ring: GradedRing, ch: RingElement, rank: int
-) -> OrdinaryBundleClass:
-    parts = [ch.graded_part(k) for k in range(ring.cutoff + 1)]
-    classes = chern_from_character(parts, rank)
-    total = ring.zero()
-    for c in classes:
-        total = total + c
-    return OrdinaryBundleClass(rank, total)
-
-
 def dual(E: ParabolicBundle) -> ParabolicBundle:
     """Summand-wise dual: weight 0 stays 0; weight w > 0 becomes 1 - w and
     the underlying dual bundle picks up a twist by minus that divisor."""
@@ -248,8 +224,8 @@ def dual(E: ParabolicBundle) -> ParabolicBundle:
         for name, w in weights:
             new_weights[name] = 1 - w
             twist = twist - ring.generator(name)
-        ch = _conjugate_character(bundle.character()) * exp_nilpotent(twist)
-        out.append((_bundle_from_character(ring, ch, bundle.rank), new_weights))
+        ch = _conjugate_character(bundle.character) * exp_nilpotent(twist)
+        out.append((OrdinaryBundleClass._from_character(bundle.rank, ch), new_weights))
     return ParabolicBundle(E.variety, tuple(out), E.max_weight_denominator)
 
 
@@ -273,10 +249,9 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
                     twist = twist + ring.generator(name)
                 if s:
                     weights[name] = s
-            ch = bv.character() * bw.character() * exp_nilpotent(twist)
-            out.append(
-                (_bundle_from_character(ring, ch, bv.rank * bw.rank), weights)
-            )
+            ch = bv.character * bw.character * exp_nilpotent(twist)
+            bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
+            out.append((bundle, weights))
     cap = max(E.max_weight_denominator, F.max_weight_denominator)
     return ParabolicBundle(E.variety, tuple(out), cap)
 
@@ -299,8 +274,8 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
         for name, w in weights:
             m = w * cm.order
             twist = twist + int(m) * cm.divisor(name)
-        total = total + cm.pullback(bundle.character()) * exp_nilpotent(twist)
-    return _bundle_from_character(ru, total, E.rank)
+        total = total + cm.pullback(bundle.character) * exp_nilpotent(twist)
+    return OrdinaryBundleClass._from_character(E.rank, total)
 
 
 def parabolic_chern(E: ParabolicBundle) -> list[RingElement]:

@@ -131,14 +131,6 @@ class Variety:
     def dim(self) -> int:
         return self.description.dim
 
-    def divisor(self, name: str) -> RingElement:
-        if name not in self.description.divisor_names:
-            raise KeyError(f"unknown divisor {name!r}")
-        return self.ring.generator(name)
-
-    def integrate(self, a: RingElement) -> Fraction:
-        return integrate(self, a)
-
 
 def build_variety(desc: ChowDescription) -> Variety:
     ring = build_ring(desc)

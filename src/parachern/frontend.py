@@ -562,9 +562,10 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
     """Build the variety and the object tables from a parsed scene.
 
     Enforces: exactly one variety, unique names, declaration before use,
-    weights in [0,1) with bounded denominators, homogeneous relations,
-    top-degree integrals, and bundle classes with unit degree-0 part and
-    no parts above min(rank, dim).
+    weights in [0,1) with bounded denominators and at most one per divisor
+    in a summand, homogeneous relations, top-degree integrals with at most
+    one per monomial, and bundle classes with unit degree-0 part and no
+    parts above min(rank, dim).
     """
     variety_decl: VarietyDecl | None = None
     # name -> (statement index, kind); kinds: divisor, class, bundle, parabolic
@@ -631,10 +632,17 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
                     entry is None or entry[1] != "bundle" or entry[0] >= index
                 ):
                     _fail(f"unknown bundle {summand.bundle!r}", summand.pos)
+                seen: set[str] = set()
                 for weight in summand.weights:
                     wentry = names.get(weight.divisor)
                     if wentry is None or wentry[1] != "divisor" or wentry[0] >= index:
                         _fail(f"unknown divisor {weight.divisor!r}", weight.pos)
+                    if weight.divisor in seen:
+                        _fail(
+                            f"duplicate weight for divisor {weight.divisor!r}",
+                            weight.pos,
+                        )
+                    seen.add(weight.divisor)
                     if not (0 <= weight.value < 1):
                         _fail("weight must lie in [0,1)", weight.pos)
                     if weight.value.denominator > max_denominator:
@@ -697,13 +705,22 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
         )
 
     integrals = []
+    integrated: set[tuple[tuple[str, int], ...]] = set()
     for decl in integral_decls:
         if mono_degree(decl.mono) != variety_decl.dim:
             _fail(
                 f"integral monomial must have degree {variety_decl.dim}",
                 decl.pos,
             )
-        integrals.append((mono_mapping(decl.mono), decl.value))
+        mono = mono_mapping(decl.mono)
+        key = tuple(sorted((name, e) for name, e in mono.items() if e))
+        if key in integrated:
+            _fail(
+                f"duplicate integral for monomial {_format_mono(decl.mono)}",
+                decl.pos,
+            )
+        integrated.add(key)
+        integrals.append((mono, decl.value))
 
     try:
         description = ChowDescription(

@@ -18,7 +18,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, itemgetter
-from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -146,14 +145,6 @@ class GradedRing:
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return self._degrees
-
-    @property
-    def rules(self) -> tuple[tuple[Monomial, Mapping[Monomial, Fraction]], ...]:
-        return tuple((lhs, MappingProxyType(rhs)) for lhs, rhs in self._rules)
-
     def monomial(self, spec: MonoSpec) -> Monomial:
         """Canonical exponent tuple for a {name: exponent} mapping."""
         exps = [0] * len(self._names)
@@ -221,9 +212,6 @@ class GradedRing:
     def generator(self, name: str) -> RingElement:
         mono = self.monomial({name: 1})
         return RingElement(self, {mono: 1})
-
-    def generators(self) -> list[RingElement]:
-        return [self.generator(name) for name in self._names]
 
     def _matching_rule(self, mono: Monomial):
         for lhs, rhs in self._rules:
@@ -390,11 +378,6 @@ class RingElement:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    def degree(self) -> int:
-        """Largest total degree with a nonzero term (0 for the zero element)."""
-        entry = self.ring._entry
-        return max((entry(m)[0] for m in self._num), default=0)
 
     def graded_part(self, k: int) -> RingElement:
         """The sum of terms of total degree exactly ``k``."""
@@ -571,21 +554,6 @@ def exp_nilpotent(a: RingElement) -> RingElement:
         if power.is_zero:
             break
         result = result + power * Fraction(1, factorial(k))
-    return result
-
-
-def log_unipotent(a: RingElement) -> RingElement:
-    """Logarithm of an element with degree-0 part 1; inverse of exp_nilpotent."""
-    if a.graded_part(0) != a.ring.one():
-        raise ValueError("log_unipotent requires degree-0 part equal to 1")
-    u = a - 1
-    result = a.ring.zero()
-    power = a.ring.one()
-    for k in range(1, a.ring.cutoff + 1):
-        power = power * u
-        if power.is_zero:
-            break
-        result = result + power * Fraction((-1) ** (k + 1), k)
     return result
 
 

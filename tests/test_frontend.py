@@ -1,9 +1,11 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from parachern.bundles import cover_order
+from parachern.cli import run
 from parachern.frontend import (
     BundleDecl,
     CommandDecl,
@@ -210,6 +212,50 @@ def test_elaborate_weight_denominator_cap():
         elaborate(parse_program(program), max_denominator=5)
     assert "denominator" in err.value.diagnostics[0].message
     elaborate(parse_program(program), max_denominator=7)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        (
+            "variety X dim 2;\n"
+            "divisor D1;\n"
+            "parabolic E = O{D1:1/3, D1:1/2};\n"
+            "compute chern E;\n",
+            "duplicate weight for divisor 'D1'",
+            (3, 28),
+        ),
+        (
+            "variety X dim 2;\n"
+            "divisor D1;\n"
+            "integral D1^2 = 1;\n"
+            "integral D1*D1 = 2;\n"
+            "parabolic E = O{D1:1/2};\n"
+            "compute degree E;\n",
+            "duplicate integral for monomial D1*D1",
+            (4, 1),
+        ),
+        (
+            "variety X dim 2;\n"
+            "divisor D1, D2;\n"
+            "integral D1*D1 = 2;\n"
+            "integral D2^0*D1^2 = 1;\n",
+            "duplicate integral for monomial D2^0*D1^2",
+            (4, 1),
+        ),
+    ],
+)
+def test_elaborate_rejects_duplicate_declarations(tmp_path, text, message, position):
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_program(text))
+    diag = err.value.diagnostics[0]
+    assert diag.message == message
+    assert (diag.line, diag.column) == position
+    scene = tmp_path / "dup.pch"
+    scene.write_text(text)
+    out, errs = io.StringIO(), io.StringIO()
+    assert run([str(scene)], stdout=out, stderr=errs) == 3
+    assert f"dup.pch:{position[0]}:{position[1]}: error: {message}" in errs.getvalue()
 
 
 def test_diagnostics_are_positioned():
