@@ -50,7 +50,8 @@ def main() -> int:
     print(f"cover bundle classes : {[str(c) for c in upstairs]}")
 
     check = verify_relation(E)
-    print(f"defining relation    : {'PASS' if check.passed else check.residual}")
+    relation = "PASS" if check.passed else [str(c) for c in check.residual]
+    print(f"defining relation    : {relation}")
     print(f"pullback consistency : {'PASS' if verify_cover_pullback(E) else 'FAIL'}")
     oracle = solve_from_relation(E) == parabolic_chern(E)
     print(f"read-off oracle      : {'PASS' if oracle else 'FAIL'}")

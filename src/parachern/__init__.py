@@ -46,8 +46,6 @@ from .bundles import (
 )
 from .grothendieck import (
     PairIdentityChecks,
-    ProjBundleElement,
-    ProjBundleRing,
     RelationCheck,
     solve_from_relation,
     verify_cover_pullback,
@@ -99,8 +97,6 @@ __all__ = [
     "tensor",
     "trivial_line",
     "PairIdentityChecks",
-    "ProjBundleElement",
-    "ProjBundleRing",
     "RelationCheck",
     "solve_from_relation",
     "verify_cover_pullback",

@@ -6,9 +6,9 @@ component.  An ordinary bundle class is entered as a total Chern class and
 stored as its Chern character.  Each bundle derives its data lazily and at
 most once: the cover order, the Chern character and the Chern classes, all
 on the base; and, for the verifiers only, the cover of minimal order with
-the induced bundle's classes and the projective bundle ring built on them.
-Pullback to the cover is a ring isomorphism, so the base classes equal the
-cover classes carried back down, and the verifiers compare the two.
+the induced bundle's classes.  Pullback to the cover is a ring
+isomorphism, so the base classes equal the cover classes carried back
+down, and the verifiers compare the two.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .chow import CoverModel, Variety, make_cover
 from .rings import (
@@ -28,9 +28,6 @@ from .rings import (
     chern_from_character,
     exp_nilpotent,
 )
-
-if TYPE_CHECKING:
-    from .grothendieck import ProjBundleRing
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
 
@@ -100,9 +97,9 @@ class ParabolicBundle:
     """A weighted sum of bundle classes over one variety.
 
     Each summand carries a map divisor -> weight with weights exact
-    rationals in [0, 1); omitted divisors have weight 0 and zero entries
-    are dropped.  Weight denominators are capped to keep the cover order
-    bounded.
+    rationals in [0, 1); omitted divisors have weight 0, zero entries are
+    dropped, and a divisor may carry at most one weight per summand.  Weight
+    denominators are capped to keep the cover order bounded.
     """
 
     variety: Variety
@@ -124,6 +121,8 @@ class ParabolicBundle:
             for name, value in items:
                 if name not in divisor_order:
                     raise ValueError(f"unknown divisor {name!r}")
+                if name in cleaned:
+                    raise ValueError(f"duplicate weight for divisor {name!r}")
                 w = Fraction(value)
                 if not (0 <= w < 1):
                     raise ValueError("weight must lie in [0,1)")
@@ -131,12 +130,9 @@ class ParabolicBundle:
                     raise ValueError(
                         f"weight denominator exceeds the cap {self.max_weight_denominator}"
                     )
-                if w:
-                    cleaned[name] = w
-            ordered = tuple(
-                sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])
-            )
-            canonical.append((bundle, ordered))
+                cleaned[name] = w
+            ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])
+            canonical.append((bundle, tuple(kv for kv in ordered if kv[1])))
         object.__setattr__(self, "summands", tuple(canonical))
 
     @property
@@ -181,14 +177,6 @@ class ParabolicBundle:
         the bundle induced on it; only the verifiers need these."""
         cm = make_cover(self.variety, self.order)
         return cm, chern_classes(cover_bundle(self, cm).character, self.rank)
-
-    @cached_property
-    def projective_ring(self) -> ProjBundleRing:
-        """The Chow ring of the projectivized cover bundle."""
-        from .grothendieck import ProjBundleRing  # grothendieck imports this module
-
-        cm, upstairs = self.cover
-        return ProjBundleRing(cm.cover_ring, upstairs[1:])
 
 
 def cover_order(E: ParabolicBundle) -> int:

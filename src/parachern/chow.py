@@ -59,7 +59,7 @@ class ChowDescription:
     ``relations`` is a sequence of (monomial, polynomial) pairs where the
     monomial is a {name: exponent} mapping and the polynomial a sequence of
     (coefficient, monomial) terms; ``integrals`` maps top-degree monomials
-    to exact rationals.
+    to exact rationals, one value per monomial.
     """
 
     name: str
@@ -98,7 +98,7 @@ class ChowDescription:
         items = (
             raw_integrals.items() if isinstance(raw_integrals, Mapping) else raw_integrals
         )
-        table = []
+        table = {}
         for mono, value in items:
             cm = _canon_mono(mono)
             degree = sum(degrees[n] * e for n, e in cm)
@@ -106,8 +106,11 @@ class ChowDescription:
                 raise ValueError(
                     f"integral monomial must have degree {self.dim}, got {degree}"
                 )
-            table.append((cm, Fraction(value)))
-        object.__setattr__(self, "integrals", tuple(sorted(table)))
+            if cm in table:
+                named = "*".join(f"{n}^{e}" if e > 1 else n for n, e in cm)
+                raise ValueError(f"duplicate integral for monomial {named}")
+            table[cm] = Fraction(value)
+        object.__setattr__(self, "integrals", tuple(sorted(table.items())))
 
 
 def build_ring(desc: ChowDescription) -> GradedRing:

@@ -138,7 +138,7 @@ def _run_verify(scene: Scene, command: Command) -> dict:
         check = grothendieck.verify_relation(bundle)
         entry["passed"] = check.passed
         entry["residual"] = (
-            None if check.passed else [str(c) for c in check.residual.coeffs]
+            None if check.passed else [str(c) for c in check.residual]
         )
     elif command.kind == "corollary1":
         entry["passed"] = grothendieck.verify_cover_pullback(bundle)

@@ -1,23 +1,35 @@
-"""The Chow ring of the cover-side projective bundle and the verifiers.
+"""The verifiers: the tautological relation, pullback compatibility and
+the pair identities.
 
-Elements of the projective bundle ring are coefficient vectors over the
-cover ring in the basis 1, h, ..., h^(r-1), where h is the first Chern
-class of the tautological quotient line bundle.  The defining relation
-h^r = c_1 h^(r-1) - c_2 h^(r-2) + ... is used as the reduction rule, which
-makes the verification of the relation for the normalized parabolic
-classes, the uniqueness probes, and the read-off oracle all exact.
+The Chern classes are computed on the base, from the Chern character.  The
+cover side is built independently, once per bundle, from the bundle
+induced on the cover, with classes u_0..u_r.  ``verify corollary1``
+compares the two computations: the base-path classes pulled up the cover
+against the u_i.
 
-The Chern classes themselves are computed on the base, from the Chern
-character.  The cover side is built independently, once per bundle, from
-the bundle induced on the cover, so ``verify corollary1`` compares two
-separate computations: the base-path classes pulled up the cover against
-the cover bundle's classes.
+The Chow ring of the cover bundle's projective bundle is free over the
+cover ring on 1, h, ..., h^(r-1), where h is the first Chern class of the
+tautological quotient line bundle.  Its defining relation is the reduction
+rule h^r = u_1 h^(r-1) - u_2 h^(r-2) + ... + (-1)^(r-1) u_r.  For classes
+x_0..x_r on the base and cover order n, the element
+
+    sum_i (-1)^i (n h)^(r-i) pullback(x_i)
+
+therefore reduces, at h^(r-i) for i = 1..r, to the coefficient
+
+    (-1)^i n^(r-i) pullback(x_i) + (-1)^(i-1) n^r pullback(x_0) u_i,
+
+and only i <= min(r, dim) has u_i != 0.  For the normalized classes
+x_i = c_i / n^(r-i) this is (-1)^i (pullback(c_i) - u_i): the relation
+holds exactly when the base classes pull up to the cover classes.
+``verify_relation`` evaluates these coefficients directly, in time linear
+in the rank, and ``solve_from_relation`` reads the classes back off the
+reduction of h^r by carrying the u_i down the cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .bundles import (
@@ -29,155 +41,16 @@ from .bundles import (
     relation_classes,
     tensor,
 )
-from .rings import GradedRing, RingElement, RingMismatchError
-
-
-class ProjBundleRing:
-    """Free module over a cover ring on 1, h, ..., h^(r-1) with the
-    reduction h^r = sum_i (-1)^(i-1) c_i h^(r-i)."""
-
-    def __init__(self, base_ring: GradedRing, chern_classes: Sequence[RingElement]):
-        if not chern_classes:
-            raise ValueError("a projective bundle needs rank at least 1")
-        for c in chern_classes:
-            if c.ring is not base_ring:
-                raise RingMismatchError("reduction classes must live in the base ring")
-        self.base_ring = base_ring
-        self.rank = len(chern_classes)
-        self.reduction = tuple(chern_classes)
-
-    def zero(self) -> ProjBundleElement:
-        return ProjBundleElement(self, [self.base_ring.zero()] * self.rank)
-
-    def one(self) -> ProjBundleElement:
-        coeffs = [self.base_ring.zero()] * self.rank
-        coeffs[0] = self.base_ring.one()
-        return ProjBundleElement(self, coeffs)
-
-    def embed(self, a: RingElement) -> ProjBundleElement:
-        if a.ring is not self.base_ring:
-            raise RingMismatchError("element does not belong to the base ring")
-        coeffs = [self.base_ring.zero()] * self.rank
-        coeffs[0] = a
-        return ProjBundleElement(self, coeffs)
-
-    def h_power(self, k: int) -> ProjBundleElement:
-        """The class h^k, reduced to the standard basis."""
-        if k < 0:
-            raise ValueError("power must be non-negative")
-        vec = [self.base_ring.zero()] * (k + 1)
-        vec[k] = self.base_ring.one()
-        return ProjBundleElement(self, self._reduce(vec))
-
-    def h(self) -> ProjBundleElement:
-        return self.h_power(1)
-
-    def _reduce(self, vec: list[RingElement]) -> list[RingElement]:
-        vec = list(vec)
-        for d in range(len(vec) - 1, self.rank - 1, -1):
-            top = vec[d]
-            if top.is_zero:
-                continue
-            vec[d] = self.base_ring.zero()
-            for i, c in enumerate(self.reduction, start=1):
-                vec[d - i] = vec[d - i] + c * top * ((-1) ** (i - 1))
-        vec = vec[: self.rank]
-        vec.extend(self.base_ring.zero() for _ in range(self.rank - len(vec)))
-        return vec
-
-
-class ProjBundleElement:
-    __slots__ = ("bundle_ring", "coeffs")
-
-    def __init__(self, bundle_ring: ProjBundleRing, coeffs: Sequence[RingElement]):
-        if len(coeffs) != bundle_ring.rank:
-            raise ValueError("coefficient vector has the wrong length")
-        object.__setattr__(self, "bundle_ring", bundle_ring)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjBundleElement is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, ProjBundleElement):
-            if other.bundle_ring is not self.bundle_ring:
-                raise RingMismatchError("elements of different projective bundle rings")
-            return other
-        if isinstance(other, RingElement):
-            return self.bundle_ring.embed(other)
-        if isinstance(other, (int, Fraction)):
-            return self.bundle_ring.embed(self.bundle_ring.base_ring.scalar(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ProjBundleElement(
-            self.bundle_ring, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ProjBundleElement(self.bundle_ring, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        r = self.bundle_ring.rank
-        zero = self.bundle_ring.base_ring.zero()
-        conv = [zero] * (2 * r - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero:
-                    continue
-                conv[i + j] = conv[i + j] + a * b
-        return ProjBundleElement(self.bundle_ring, self.bundle_ring._reduce(conv))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, ProjBundleElement):
-            return (
-                self.bundle_ring is other.bundle_ring and self.coeffs == other.coeffs
-            )
-        return NotImplemented
-
-    def __str__(self):
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            if k == 0:
-                parts.append(f"({a})")
-            elif k == 1:
-                parts.append(f"({a})*h")
-            else:
-                parts.append(f"({a})*h^{k}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"ProjBundleElement({self})"
+from .rings import RingElement
 
 
 @dataclass(frozen=True)
 class RelationCheck:
+    """``residual`` holds the reduced relation's coefficients over the
+    cover ring, in the basis 1, h, ..., h^(rank-1)."""
+
     passed: bool
-    residual: ProjBundleElement
+    residual: tuple[RingElement, ...]
 
 
 @dataclass(frozen=True)
@@ -194,38 +67,34 @@ class PairIdentityChecks:
 def verify_relation(
     E: ParabolicBundle, classes: Sequence[RingElement] | None = None
 ) -> RelationCheck:
-    """Evaluate sum_i (-1)^i (order * h)^(rank-i) * pullback(classes[i]) in
+    """Reduce sum_i (-1)^i (order * h)^(rank-i) * pullback(classes[i]) in
     the projective bundle ring and test it against zero.
 
     ``classes`` defaults to the bundle's normalized relation classes; a
     perturbed list can be passed to probe uniqueness.
     """
     n, r = E.order, E.rank
-    cm, _ = E.cover
-    proj = E.projective_ring
+    cm, upstairs = E.cover
     if classes is None:
         classes = relation_classes(E)
     if len(classes) != r + 1:
         raise ValueError(f"expected {r + 1} classes, got {len(classes)}")
-    acc = proj.zero()
-    for i, cls in enumerate(classes):
-        scale = Fraction((-1) ** i * n ** (r - i))
-        acc = acc + proj.embed(cm.pullback(cls) * scale) * proj.h_power(r - i)
-    return RelationCheck(acc.is_zero, acc)
+    lead = cm.pullback(classes[0]) * n**r
+    residual = []
+    for i in range(r, 0, -1):
+        coeff = cm.pullback(classes[i]) * n ** (r - i)
+        if not upstairs[i].is_zero:
+            coeff = coeff - lead * upstairs[i]
+        residual.append(coeff if i % 2 == 0 else -coeff)
+    return RelationCheck(all(c.is_zero for c in residual), tuple(residual))
 
 
 def solve_from_relation(E: ParabolicBundle) -> list[RingElement]:
-    """Independent read-off of the Chern classes: reduce h^rank through the
-    defining relation, take the h^(rank-i) coefficients with alternating
-    signs, and carry them down the cover."""
-    r = E.rank
-    cm, _ = E.cover
-    reduced = E.projective_ring.h_power(r)
-    out = [E.variety.ring.one()]
-    for i in range(1, r + 1):
-        coeff = reduced.coeffs[r - i] * ((-1) ** (i - 1))
-        out.append(cm.pushdown(coeff))
-    return out
+    """Independent read-off of the Chern classes: the reduction of h^rank
+    has the cover classes u_i as its coefficients (up to sign), and the
+    cover carries them back down."""
+    cm, upstairs = E.cover
+    return [E.variety.ring.one()] + [cm.pushdown(u) for u in upstairs[1:]]
 
 
 def verify_cover_pullback(E: ParabolicBundle) -> bool:

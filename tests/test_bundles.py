@@ -83,6 +83,11 @@ def test_parabolic_validation(surface):
             ((trivial_line(ring), {"D1": Fraction(1, 7)}),),
             max_weight_denominator=5,
         )
+    with pytest.raises(ValueError, match="duplicate weight for divisor 'D1'"):
+        ParabolicBundle(
+            surface,
+            ((trivial_line(ring), [("D1", Fraction(1, 3)), ("D1", Fraction(1, 2))]),),
+        )
 
 
 def test_cover_order(surface):

@@ -55,6 +55,8 @@ def test_description_validation():
         ChowDescription("X", 2, ("D1", "D1"))
     with pytest.raises(ValueError):
         ChowDescription("X", 2, ("D1",), integrals={(("D1", 1),): 1})
+    with pytest.raises(ValueError, match="duplicate integral for monomial D1\\^2"):
+        ChowDescription("X", 2, ("D1",), integrals=[({"D1": 2}, 1), ({"D1": 2}, 2)])
 
 
 def test_make_cover_transports_relations():
