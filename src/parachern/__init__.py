@@ -14,7 +14,7 @@ from .rings import (
     RingElement,
     RingMismatchError,
     RewriteCapError,
-    RuleError,
+    InputError,
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
@@ -71,7 +71,7 @@ __all__ = [
     "RingElement",
     "RingMismatchError",
     "RewriteCapError",
-    "RuleError",
+    "InputError",
     "character_from_chern",
     "chern_from_character",
     "exp_nilpotent",

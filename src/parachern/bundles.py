@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Union
 from .chow import CoverModel, Variety, make_cover
 from .rings import (
     GradedRing,
+    InputError,
     Rational,
     RingElement,
     character_from_chern,
@@ -48,7 +49,7 @@ class OrdinaryBundleClass:
 
     def __init__(self, rank: int, total_chern: RingElement):
         if int(rank) < 1:
-            raise ValueError("bundle rank must be a positive integer")
+            raise ValueError("bundle rank must be at least 1")
         rank = int(rank)
         ring = total_chern.ring
         if total_chern.graded_part(0) != ring.one():
@@ -97,9 +98,11 @@ class ParabolicBundle:
     """A weighted sum of bundle classes over one variety.
 
     Each summand carries a map divisor -> weight with weights exact
-    rationals in [0, 1); omitted divisors have weight 0, zero entries are
-    dropped, and a divisor may carry at most one weight per summand.  Weight
-    denominators are capped to keep the cover order bounded.
+    rationals in [0, 1), given as a mapping or as (divisor, weight) pairs;
+    omitted divisors have weight 0, zero entries are dropped, and a divisor
+    may carry at most one weight per summand.  Weight denominators are
+    capped to keep the cover order bounded.  A failed weight check raises
+    :class:`InputError` with the path ``("summands", summand, entry)``.
     """
 
     variety: Variety
@@ -113,22 +116,25 @@ class ParabolicBundle:
             name: i for i, name in enumerate(self.variety.description.divisor_names)
         }
         canonical: list[Summand] = []
-        for bundle, weights in self.summands:
+        for index, (bundle, weights) in enumerate(self.summands):
             if bundle.ring is not self.variety.ring:
                 raise ValueError("summand bundle lives on a different variety")
             items = weights.items() if isinstance(weights, Mapping) else weights
             cleaned: dict[str, Fraction] = {}
-            for name, value in items:
+            for entry, (name, value) in enumerate(items):
+                at = ("summands", index, entry)
                 if name not in divisor_order:
-                    raise ValueError(f"unknown divisor {name!r}")
+                    raise InputError(f"unknown divisor {name!r}", *at)
                 if name in cleaned:
-                    raise ValueError(f"duplicate weight for divisor {name!r}")
+                    raise InputError(f"duplicate weight for divisor {name!r}", *at)
                 w = Fraction(value)
                 if not (0 <= w < 1):
-                    raise ValueError("weight must lie in [0,1)")
+                    raise InputError("weight must lie in [0,1)", *at)
                 if w.denominator > self.max_weight_denominator:
-                    raise ValueError(
-                        f"weight denominator exceeds the cap {self.max_weight_denominator}"
+                    raise InputError(
+                        "weight denominator exceeds the cap "
+                        f"{self.max_weight_denominator}",
+                        *at,
                     )
                 cleaned[name] = w
             ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])

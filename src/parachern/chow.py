@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .rings import GradedRing, Monomial, RingElement, RingMismatchError
+from .rings import GradedRing, InputError, Monomial, RingElement, RingMismatchError
 
 NamedMono = tuple[tuple[str, int], ...]
 NamedMonoSpec = Union[Mapping[str, int], Iterable[tuple[str, int]]]
@@ -57,9 +57,12 @@ class ChowDescription:
     """User-level description of a variety's Chow-ring model.
 
     ``relations`` is a sequence of (monomial, polynomial) pairs where the
-    monomial is a {name: exponent} mapping and the polynomial a sequence of
-    (coefficient, monomial) terms; ``integrals`` maps top-degree monomials
-    to exact rationals, one value per monomial.
+    monomial is a {name: exponent} mapping or a sequence of (name,
+    exponent) factors, repeated names adding up, and the polynomial a
+    sequence of (coefficient, monomial) terms; ``integrals`` maps top-degree
+    monomials to exact rationals, one value per monomial.  A failed check
+    on a generator or an integral raises :class:`InputError` with the path
+    ``(field, index)``.
     """
 
     name: str
@@ -74,21 +77,24 @@ class ChowDescription:
         extras = tuple((str(n), int(d)) for n, d in self.extra_generators)
         object.__setattr__(self, "extra_generators", extras)
         if int(self.dim) < 1:
-            raise ValueError("dim must be a positive integer")
+            raise ValueError("variety dimension must be at least 1")
         object.__setattr__(self, "dim", int(self.dim))
-        seen = set()
-        degrees = {}
-        for name in self.divisor_names:
-            if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
-            seen.add(name)
+        degrees: dict[str, int] = {}
+        for index, name in enumerate(self.divisor_names):
+            if name in degrees:
+                raise InputError(
+                    f"duplicate generator name {name!r}", "divisor_names", index
+                )
             degrees[name] = 1
-        for name, degree in extras:
-            if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
+        for index, (name, degree) in enumerate(extras):
+            if name in degrees:
+                raise InputError(
+                    f"duplicate generator name {name!r}", "extra_generators", index
+                )
             if degree < 1:
-                raise ValueError(f"generator {name!r} must have degree >= 1")
-            seen.add(name)
+                raise InputError(
+                    "class degree must be at least 1", "extra_generators", index
+                )
             degrees[name] = degree
         relations = tuple(
             (_canon_mono(lhs), _canon_poly(rhs)) for lhs, rhs in self.relations
@@ -99,16 +105,21 @@ class ChowDescription:
             raw_integrals.items() if isinstance(raw_integrals, Mapping) else raw_integrals
         )
         table = {}
-        for mono, value in items:
-            cm = _canon_mono(mono)
-            degree = sum(degrees[n] * e for n, e in cm)
-            if degree != self.dim:
-                raise ValueError(
-                    f"integral monomial must have degree {self.dim}, got {degree}"
+        for index, (mono, value) in enumerate(items):
+            factors = list(mono.items() if isinstance(mono, Mapping) else mono)
+            cm = _canon_mono(factors)
+            if sum(degrees[n] * e for n, e in cm) != self.dim:
+                raise InputError(
+                    f"integral monomial must have degree {self.dim}",
+                    "integrals",
+                    index,
                 )
             if cm in table:
-                named = "*".join(f"{n}^{e}" if e > 1 else n for n, e in cm)
-                raise ValueError(f"duplicate integral for monomial {named}")
+                # The monomial as written, e.g. D1*D1 for a repeated D1^2.
+                named = "*".join(n if e == 1 else f"{n}^{e}" for n, e in factors)
+                raise InputError(
+                    f"duplicate integral for monomial {named}", "integrals", index
+                )
             table[cm] = Fraction(value)
         object.__setattr__(self, "integrals", tuple(sorted(table.items())))
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import ChowDescription, Variety, build_variety
-from .rings import RuleError
+from .rings import InputError
 
 COMPUTE_KINDS = ("chern", "ch", "ctpoly", "degree")
 VERIFY_KINDS = ("grothendieck", "prop1", "corollary1")
@@ -558,20 +559,39 @@ def _fail(message: str, pos: Pos):
     raise ElaborationError([Diagnostic("error", message, pos[0], pos[1])])
 
 
+# What an unknown name is called, by the kinds of declaration it may name.
+_UNKNOWN = {
+    ("divisor", "class"): "generator",
+    ("divisor",): "divisor",
+    ("bundle",): "bundle",
+    ("parabolic",): "parabolic bundle",
+}
+
+# The reserved summand name of the trivial line bundle.
+TRIVIAL = "O"
+
+
+def _factors(mono: MonoAST) -> tuple[tuple[str, int], ...]:
+    return tuple((f.name, f.exponent) for f in mono)
+
+
 def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
     """Build the variety and the object tables from a parsed scene.
 
-    Enforces: exactly one variety, unique names, declaration before use,
-    weights in [0,1) with bounded denominators and at most one per divisor
-    in a summand, homogeneous relations, top-degree integrals with at most
-    one per monomial, and bundle classes with unit degree-0 part and no
-    parts above min(rank, dim).
+    Enforces only what the library cannot know: exactly one variety,
+    unique names (``O`` is reserved for the trivial line bundle),
+    declaration before use, the number of names each command takes, and
+    the cap on relation and Chern coefficient denominators.  Every value
+    check (weights, dimensions, degrees, ranks, homogeneity, integrals) is
+    made by the library constructors; the elaborator maps the
+    :class:`InputError` path of a failed check to the offending AST node.
     """
     variety_decl: VarietyDecl | None = None
-    # name -> (statement index, kind); kinds: divisor, class, bundle, parabolic
-    names: dict[str, tuple[int, str]] = {}
+    # name -> (statement index, kind); kinds: variety, divisor, class,
+    # bundle, parabolic.  The trivial line bundle precedes every statement.
+    names: dict[str, tuple[int, str]] = {TRIVIAL: (-1, "bundle")}
     divisors: list[str] = []
-    extras: list[tuple[str, int]] = []
+    class_decls: list[ClassDecl] = []
     relation_decls: list[RelationDecl] = []
     integral_decls: list[IntegralDecl] = []
     bundle_decls: list[BundleDecl] = []
@@ -579,77 +599,58 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
     command_decls: list[CommandDecl] = []
 
     def declare(name: str, index: int, kind: str, pos: Pos):
-        if name in names or (variety_decl is not None and name == variety_decl.name):
+        if name == TRIVIAL:
+            _fail(f"name {TRIVIAL!r} is reserved for the trivial line bundle", pos)
+        if name in names:
             _fail(f"duplicate name {name!r}", pos)
         names[name] = (index, kind)
 
-    def check_generator(factor: MonoFactor, index: int):
-        entry = names.get(factor.name)
-        if entry is None or entry[1] not in ("divisor", "class") or entry[0] >= index:
-            _fail(f"unknown generator {factor.name!r}", factor.pos)
+    def resolve(name: str, kinds: tuple[str, ...], index: int, pos: Pos):
+        entry = names.get(name)
+        if entry is None or entry[1] not in kinds or entry[0] >= index:
+            _fail(f"unknown {_UNKNOWN[kinds]} {name!r}", pos)
+
+    def resolve_generators(monos: Iterable[MonoAST], index: int):
+        for mono in monos:
+            for factor in mono:
+                resolve(factor.name, ("divisor", "class"), index, factor.pos)
+
+    def cap_coefficients(poly: PolyAST):
+        for term in poly:
+            if term.coeff.denominator > max_denominator:
+                _fail(
+                    f"coefficient denominator exceeds the cap {max_denominator}",
+                    term.pos,
+                )
 
     for index, stmt in enumerate(ast.statements):
         if isinstance(stmt, VarietyDecl):
             if variety_decl is not None:
                 _fail("duplicate variety declaration", stmt.pos)
-            if stmt.dim < 1:
-                _fail("variety dimension must be at least 1", stmt.pos)
-            if stmt.name in names:
-                _fail(f"duplicate name {stmt.name!r}", stmt.pos)
+            declare(stmt.name, index, "variety", stmt.pos)
             variety_decl = stmt
         elif isinstance(stmt, DivisorDecl):
             for name in stmt.names:
                 declare(name, index, "divisor", stmt.pos)
                 divisors.append(name)
         elif isinstance(stmt, ClassDecl):
-            if stmt.degree < 1:
-                _fail("class degree must be at least 1", stmt.pos)
             declare(stmt.name, index, "class", stmt.pos)
-            extras.append((stmt.name, stmt.degree))
+            class_decls.append(stmt)
         elif isinstance(stmt, RelationDecl):
-            for factor in stmt.lhs:
-                check_generator(factor, index)
-            for term in stmt.rhs:
-                for factor in term.factors:
-                    check_generator(factor, index)
+            resolve_generators([stmt.lhs, *(t.factors for t in stmt.rhs)], index)
             relation_decls.append(stmt)
         elif isinstance(stmt, IntegralDecl):
-            for factor in stmt.mono:
-                check_generator(factor, index)
+            resolve_generators([stmt.mono], index)
             integral_decls.append(stmt)
         elif isinstance(stmt, BundleDecl):
-            if stmt.rank < 1:
-                _fail("bundle rank must be at least 1", stmt.pos)
-            for term in stmt.chern:
-                for factor in term.factors:
-                    check_generator(factor, index)
+            resolve_generators((t.factors for t in stmt.chern), index)
             declare(stmt.name, index, "bundle", stmt.pos)
             bundle_decls.append(stmt)
         elif isinstance(stmt, ParabolicDecl):
             for summand in stmt.summands:
-                entry = names.get(summand.bundle)
-                if summand.bundle != "O" and (
-                    entry is None or entry[1] != "bundle" or entry[0] >= index
-                ):
-                    _fail(f"unknown bundle {summand.bundle!r}", summand.pos)
-                seen: set[str] = set()
+                resolve(summand.bundle, ("bundle",), index, summand.pos)
                 for weight in summand.weights:
-                    wentry = names.get(weight.divisor)
-                    if wentry is None or wentry[1] != "divisor" or wentry[0] >= index:
-                        _fail(f"unknown divisor {weight.divisor!r}", weight.pos)
-                    if weight.divisor in seen:
-                        _fail(
-                            f"duplicate weight for divisor {weight.divisor!r}",
-                            weight.pos,
-                        )
-                    seen.add(weight.divisor)
-                    if not (0 <= weight.value < 1):
-                        _fail("weight must lie in [0,1)", weight.pos)
-                    if weight.value.denominator > max_denominator:
-                        _fail(
-                            f"weight denominator exceeds the cap {max_denominator}",
-                            weight.pos,
-                        )
+                    resolve(weight.divisor, ("divisor",), index, weight.pos)
             declare(stmt.name, index, "parabolic", stmt.pos)
             parabolic_decls.append(stmt)
         elif isinstance(stmt, CommandDecl):
@@ -664,9 +665,7 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
                     stmt.pos,
                 )
             for name in stmt.names:
-                entry = names.get(name)
-                if entry is None or entry[1] != "parabolic" or entry[0] >= index:
-                    _fail(f"unknown parabolic bundle {name!r}", stmt.pos)
+                resolve(name, ("parabolic",), index, stmt.pos)
             command_decls.append(stmt)
         else:
             raise TypeError(f"unknown statement {stmt!r}")
@@ -674,66 +673,35 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
     if variety_decl is None:
         _fail("missing variety declaration", (1, 1))
 
-    degree_of = {name: 1 for name in divisors}
-    degree_of.update(dict(extras))
-
-    def mono_mapping(mono: MonoAST) -> dict[str, int]:
-        acc: dict[str, int] = {}
-        for factor in mono:
-            acc[factor.name] = acc.get(factor.name, 0) + factor.exponent
-        return acc
-
-    def mono_degree(mono: MonoAST) -> int:
-        return sum(degree_of[f.name] * f.exponent for f in mono)
-
-    relations = []
     for decl in relation_decls:
-        lhs_degree = mono_degree(decl.lhs)
-        for term in decl.rhs:
-            if term.coeff and mono_degree(term.factors) != lhs_degree:
-                _fail("relation is not degree-homogeneous", term.pos)
-            if term.coeff and term.coeff.denominator > max_denominator:
-                _fail(
-                    f"coefficient denominator exceeds the cap {max_denominator}",
-                    term.pos,
-                )
-        relations.append(
-            (
-                mono_mapping(decl.lhs),
-                [(term.coeff, mono_mapping(term.factors)) for term in decl.rhs],
-            )
-        )
-
-    integrals = []
-    integrated: set[tuple[tuple[str, int], ...]] = set()
-    for decl in integral_decls:
-        if mono_degree(decl.mono) != variety_decl.dim:
-            _fail(
-                f"integral monomial must have degree {variety_decl.dim}",
-                decl.pos,
-            )
-        mono = mono_mapping(decl.mono)
-        key = tuple(sorted((name, e) for name, e in mono.items() if e))
-        if key in integrated:
-            _fail(
-                f"duplicate integral for monomial {_format_mono(decl.mono)}",
-                decl.pos,
-            )
-        integrated.add(key)
-        integrals.append((mono, decl.value))
-
+        cap_coefficients(decl.rhs)
     try:
         description = ChowDescription(
             variety_decl.name,
             variety_decl.dim,
             tuple(divisors),
-            tuple(extras),
-            tuple(relations),
-            tuple(integrals),
+            tuple((decl.name, decl.degree) for decl in class_decls),
+            tuple(
+                (
+                    _factors(decl.lhs),
+                    tuple((term.coeff, _factors(term.factors)) for term in decl.rhs),
+                )
+                for decl in relation_decls
+            ),
+            tuple((_factors(decl.mono), decl.value) for decl in integral_decls),
         )
         variety = build_variety(description)
-    except RuleError as exc:
-        _fail(str(exc), relation_decls[exc.rule_index].pos)
+    except InputError as exc:
+        field_name, index, *term = exc.path
+        node = {
+            "extra_generators": class_decls,
+            "integrals": integral_decls,
+            "rules": relation_decls,
+        }[field_name][index]
+        if term:
+            # Rule terms are counted after zero-coefficient terms are dropped.
+            node = [t for t in node.rhs if t.coeff][term[0]]
+        _fail(str(exc), node.pos)
     except ValueError as exc:
         _fail(str(exc), variety_decl.pos)
 
@@ -741,13 +709,9 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
 
     bundles: dict[str, OrdinaryBundleClass] = {}
     for decl in bundle_decls:
+        cap_coefficients(decl.chern)
         element = ring.zero()
         for term in decl.chern:
-            if term.coeff.denominator > max_denominator:
-                _fail(
-                    f"coefficient denominator exceeds the cap {max_denominator}",
-                    term.pos,
-                )
             piece = ring.scalar(term.coeff)
             for factor in term.factors:
                 piece = piece * ring.generator(factor.name) ** factor.exponent
@@ -759,19 +723,18 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
 
     parabolics: dict[str, ParabolicBundle] = {}
     for decl in parabolic_decls:
-        summands = []
-        for summand in decl.summands:
-            base = (
-                trivial_line(ring)
-                if summand.bundle == "O"
-                else bundles[summand.bundle]
+        summands = tuple(
+            (
+                trivial_line(ring) if s.bundle == TRIVIAL else bundles[s.bundle],
+                tuple((w.divisor, w.value) for w in s.weights),
             )
-            weights = {w.divisor: w.value for w in summand.weights}
-            summands.append((base, weights))
+            for s in decl.summands
+        )
         try:
-            parabolics[decl.name] = ParabolicBundle(
-                variety, tuple(summands), max_denominator
-            )
+            parabolics[decl.name] = ParabolicBundle(variety, summands, max_denominator)
+        except InputError as exc:
+            _, summand, entry = exc.path
+            _fail(str(exc), decl.summands[summand].weights[entry].pos)
         except ValueError as exc:
             _fail(str(exc), decl.pos)
 

@@ -39,12 +39,16 @@ class RewriteCapError(ValueError):
     """Normalization failed to reach a fixpoint within the iteration cap."""
 
 
-class RuleError(ValueError):
-    """A rewrite rule is malformed; carries the index of the offending rule."""
+class InputError(ValueError):
+    """A constructor argument failed a value check.
 
-    def __init__(self, message: str, rule_index: int):
+    ``path`` locates the offending value: the argument's name, then indices
+    into it, e.g. ``("rules", 0, 1)`` for term 1 of rule 0.
+    """
+
+    def __init__(self, message: str, *path: str | int):
         super().__init__(message)
-        self.rule_index = rule_index
+        self.path = path
 
 
 def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
@@ -75,7 +79,10 @@ class GradedRing:
     substitutes rules (in declaration order) until no monomial is divisible
     by any rule's left side, bounded by ``rule_iteration_cap`` passes.  Rule
     right sides are themselves reduced to a fixpoint at construction time,
-    so a non-terminating rule set is rejected when the ring is built.
+    so a non-terminating rule set is rejected when the ring is built.  A
+    malformed rule raises :class:`InputError` with the path
+    ``("rules", rule)``, or ``("rules", rule, term)`` for a term of the
+    wrong degree.
 
     Every rewrite pass is a linear map that fixes normal monomials, so the
     normal form of a sum is the sum of the normal forms of its monomials.
@@ -118,13 +125,17 @@ class GradedRing:
         for idx, (lhs_spec, rhs_terms) in enumerate(rules):
             lhs = self.monomial(lhs_spec)
             if lhs == self._zero_mono:
-                raise RuleError("rule left side must be a non-constant monomial", idx)
+                raise InputError(
+                    "rule left side must be a non-constant monomial", "rules", idx
+                )
             lhs_degree = self.monomial_degree(lhs)
             rhs: dict[Monomial, Fraction] = {}
-            for coeff, mono_spec in rhs_terms:
+            for term, (coeff, mono_spec) in enumerate(rhs_terms):
                 mono = self.monomial(mono_spec)
                 if self.monomial_degree(mono) != lhs_degree:
-                    raise RuleError("rule is not degree-homogeneous", idx)
+                    raise InputError(
+                        "relation is not degree-homogeneous", "rules", idx, term
+                    )
                 value = Fraction(coeff)
                 if value:
                     rhs[mono] = rhs.get(mono, Fraction(0)) + value
@@ -135,8 +146,9 @@ class GradedRing:
             try:
                 reduced = self._normalize(dict(rhs))
             except RewriteCapError:
-                raise RuleError(
+                raise InputError(
                     "rule right side does not normalize within the iteration cap",
+                    "rules",
                     idx,
                 ) from None
             self._rules[idx] = (lhs, reduced)

@@ -21,7 +21,7 @@ from parachern.bundles import (
     tensor,
     trivial_line,
 )
-from parachern.rings import exp_nilpotent
+from parachern.rings import InputError, exp_nilpotent
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def worked_example(surface):
 def test_ordinary_bundle_validation(surface):
     ring = surface.ring
     d1 = ring.generator("D1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bundle rank must be at least 1"):
         OrdinaryBundleClass(0, ring.one())
     with pytest.raises(ValueError):
         OrdinaryBundleClass(1, 2 * ring.one())
@@ -83,11 +83,21 @@ def test_parabolic_validation(surface):
             ((trivial_line(ring), {"D1": Fraction(1, 7)}),),
             max_weight_denominator=5,
         )
-    with pytest.raises(ValueError, match="duplicate weight for divisor 'D1'"):
+    with pytest.raises(InputError, match="duplicate weight for divisor 'D1'") as err:
         ParabolicBundle(
             surface,
             ((trivial_line(ring), [("D1", Fraction(1, 3)), ("D1", Fraction(1, 2))]),),
         )
+    assert err.value.path == ("summands", 0, 1)
+    with pytest.raises(InputError, match=r"weight must lie in \[0,1\)") as err:
+        ParabolicBundle(
+            surface,
+            (
+                (trivial_line(ring), {"D1": Fraction(1, 2)}),
+                (trivial_line(ring), [("D1", Fraction(1))]),
+            ),
+        )
+    assert err.value.path == ("summands", 1, 0)
 
 
 def test_cover_order(surface):

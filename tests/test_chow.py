@@ -12,7 +12,7 @@ from parachern.chow import (
     integrate,
     make_cover,
 )
-from parachern.rings import RingElement, RingMismatchError
+from parachern.rings import InputError, RingElement, RingMismatchError
 
 
 def surface():
@@ -49,14 +49,31 @@ def test_build_ring_shapes():
 
 
 def test_description_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="variety dimension must be at least 1"):
         ChowDescription("X", 0, ("D1",))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError) as err:
         ChowDescription("X", 2, ("D1", "D1"))
-    with pytest.raises(ValueError):
+    assert err.value.path == ("divisor_names", 1)
+    with pytest.raises(InputError) as err:
+        ChowDescription("X", 2, ("D1",), (("H", 1), ("K", 0)))
+    assert str(err.value) == "class degree must be at least 1"
+    assert err.value.path == ("extra_generators", 1)
+    with pytest.raises(InputError) as err:
         ChowDescription("X", 2, ("D1",), integrals={(("D1", 1),): 1})
+    assert str(err.value) == "integral monomial must have degree 2"
+    assert err.value.path == ("integrals", 0)
     with pytest.raises(ValueError, match="duplicate integral for monomial D1\\^2"):
         ChowDescription("X", 2, ("D1",), integrals=[({"D1": 2}, 1), ({"D1": 2}, 2)])
+    # Factor pairs add up, and the message shows the monomial as written.
+    with pytest.raises(InputError) as err:
+        ChowDescription(
+            "X",
+            2,
+            ("D1", "D2"),
+            integrals=[([("D1", 2)], 1), ([("D1", 1), ("D2", 0), ("D1", 1)], 2)],
+        )
+    assert str(err.value) == "duplicate integral for monomial D1*D2^0*D1"
+    assert err.value.path == ("integrals", 1)
 
 
 def test_make_cover_transports_relations():

@@ -210,8 +210,10 @@ def test_valid_corpus_reproduces_golden_reports(scene):
 
 @pytest.mark.parametrize("scene", INVALID_SCENES, ids=lambda p: p.stem)
 def test_invalid_corpus_diagnostics(scene):
+    expected = scene.with_suffix(".expected.json").read_text(encoding="utf-8")
     code, out, _ = run_capture([str(scene), "--json"])
     assert code in (2, 3)
+    assert out == expected  # byte-identical
     report = json.loads(out)
     assert report["exit_code"] == code
     diagnostics = report["diagnostics"]

@@ -210,7 +210,10 @@ def test_elaborate_weight_denominator_cap():
     program = "variety X dim 1; divisor p; parabolic E = O{p:1/7};"
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_program(program), max_denominator=5)
-    assert "denominator" in err.value.diagnostics[0].message
+    diag = err.value.diagnostics[0]
+    assert diag.message == "weight denominator exceeds the cap 5"
+    # position of the weight value 1/7
+    assert (diag.line, diag.column) == (1, 47)
     elaborate(parse_program(program), max_denominator=7)
 
 
@@ -241,6 +244,43 @@ def test_elaborate_weight_denominator_cap():
             "integral D1*D1 = 2;\n"
             "integral D2^0*D1^2 = 1;\n",
             "duplicate integral for monomial D2^0*D1^2",
+            (4, 1),
+        ),
+        (
+            "variety X dim 0;\ndivisor D1;\n",
+            "variety dimension must be at least 1",
+            (1, 1),
+        ),
+        (
+            "variety X dim 2;\ndivisor D1;\nclass H deg 0;\n",
+            "class degree must be at least 1",
+            (3, 1),
+        ),
+        (
+            "variety X dim 2;\ndivisor D1;\nbundle V rank 0 chern 1;\n",
+            "bundle rank must be at least 1",
+            (3, 1),
+        ),
+        (
+            "variety X dim 2;\ndivisor D1;\nintegral D1 = 1;\n",
+            "integral monomial must have degree 2",
+            (3, 1),
+        ),
+        (
+            # The zero-coefficient term is skipped; the position is the
+            # second term's.
+            "variety X dim 2;\ndivisor D1;\nrelation D1^2 = 0*D1 + 3*D1;\n",
+            "relation is not degree-homogeneous",
+            (3, 24),
+        ),
+        (
+            "variety X dim 1;\n"
+            "divisor p;\n"
+            "integral p = 1;\n"
+            "bundle O rank 1 chern 1 + p;\n"
+            "parabolic E = O{};\n"
+            "compute chern E;\n",
+            "name 'O' is reserved for the trivial line bundle",
             (4, 1),
         ),
     ],

@@ -9,8 +9,8 @@ from parachern.chow import ChowDescription, build_variety, make_cover
 from parachern.rings import (
     GradedRing,
     RingElement,
+    InputError,
     RingMismatchError,
-    RuleError,
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
@@ -118,12 +118,25 @@ def test_string_form(ring):
 
 
 def test_rule_must_be_homogeneous():
-    with pytest.raises(RuleError):
+    with pytest.raises(InputError) as err:
         GradedRing([("D1", 1)], cutoff=2, rules=[({"D1": 2}, [(1, {"D1": 1})])])
+    assert str(err.value) == "relation is not degree-homogeneous"
+    assert err.value.path == ("rules", 0, 0)
+    # Terms are counted as given, zero coefficients included.
+    with pytest.raises(InputError) as err:
+        GradedRing(
+            [("D1", 1), ("D2", 1)],
+            cutoff=2,
+            rules=[
+                ({"D1": 2}, [(0, {"D2": 2}), (3, {"D2": 1})]),
+                ({"D2": 2}, [(1, {"D1": 1})]),
+            ],
+        )
+    assert err.value.path == ("rules", 0, 1)
 
 
 def test_cyclic_rules_rejected():
-    with pytest.raises(RuleError):
+    with pytest.raises(InputError) as err:
         GradedRing(
             [("A", 1), ("B", 1)],
             cutoff=2,
@@ -132,6 +145,7 @@ def test_cyclic_rules_rejected():
                 ({"B": 2}, [(1, {"A": 2})]),
             ],
         )
+    assert err.value.path == ("rules", 0)
 
 
 def test_rule_chain_normalizes():
