@@ -20,8 +20,6 @@ from parachern import (  # noqa: E402
     ParabolicBundle,
     build_variety,
     chern_character,
-    cover_order,
-    parabolic_chern,
     relation_classes,
     solve_from_relation,
     trivial_line,
@@ -40,10 +38,10 @@ def main() -> int:
             (trivial_line(ring), {"D1": Fraction(2, 3)}),
         ),
     )
-    order = cover_order(E)
+    order = E.order
     print(f"cover order          : {order}")
     print(f"character            : {[str(p) for p in chern_character(E)]}")
-    print(f"chern classes        : {[str(c) for c in parabolic_chern(E)]}")
+    print(f"chern classes        : {[str(c) for c in E.classes]}")
     print(f"relation classes     : {[str(c) for c in relation_classes(E)]}")
 
     _, upstairs = E.cover
@@ -53,7 +51,7 @@ def main() -> int:
     relation = "PASS" if check.passed else [str(c) for c in check.residual]
     print(f"defining relation    : {relation}")
     print(f"pullback consistency : {'PASS' if verify_cover_pullback(E) else 'FAIL'}")
-    oracle = solve_from_relation(E) == parabolic_chern(E)
+    oracle = solve_from_relation(E) == E.classes
     print(f"read-off oracle      : {'PASS' if oracle else 'FAIL'}")
     return 0
 

@@ -32,14 +32,11 @@ from .chow import (
 from .bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
-    character_element,
     chern_character,
     chern_classes,
     cover_bundle,
-    cover_order,
     direct_sum,
     dual,
-    parabolic_chern,
     relation_classes,
     tensor,
     trivial_line,
@@ -85,14 +82,11 @@ __all__ = [
     "make_cover",
     "OrdinaryBundleClass",
     "ParabolicBundle",
-    "character_element",
     "chern_character",
     "chern_classes",
     "cover_bundle",
-    "cover_order",
     "direct_sum",
     "dual",
-    "parabolic_chern",
     "relation_classes",
     "tensor",
     "trivial_line",

@@ -4,11 +4,11 @@ A parabolic bundle here is a finite direct sum of summands, each an
 ordinary bundle class together with a rational weight in [0, 1) per divisor
 component.  An ordinary bundle class is entered as a total Chern class and
 stored as its Chern character.  Each bundle derives its data lazily and at
-most once: the cover order, the Chern character and the Chern classes, all
-on the base; and, for the verifiers only, the cover of minimal order with
-the induced bundle's classes.  Pullback to the cover is a ring
-isomorphism, so the base classes equal the cover classes carried back
-down, and the verifiers compare the two.
+most once, as properties: ``order`` (the cover order), ``character`` and
+``classes``, all on the base; and, for the verifiers only, ``cover``, the
+cover of minimal order with the induced bundle's classes.  Pullback to the
+cover is a ring isomorphism, so the base classes equal the cover classes
+carried back down, and the verifiers compare the two.
 """
 
 from __future__ import annotations
@@ -185,11 +185,6 @@ class ParabolicBundle:
         return cm, chern_classes(cover_bundle(self, cm).character, self.rank)
 
 
-def cover_order(E: ParabolicBundle) -> int:
-    """The bundle's cover order, :attr:`ParabolicBundle.order`."""
-    return E.order
-
-
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     if E.variety is not F.variety:
         raise ValueError("direct sum requires bundles on the same variety")
@@ -256,7 +251,7 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
     (order * weight) of the cover divisors."""
     if cm.base is not E.variety:
         raise ValueError("cover is not over this bundle's variety")
-    n = cover_order(E)
+    n = E.order
     if cm.order % n:
         raise ValueError(
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
@@ -272,26 +267,15 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
     return OrdinaryBundleClass._from_character(E.rank, total)
 
 
-def parabolic_chern(E: ParabolicBundle) -> list[RingElement]:
-    """Classes c_0..c_rank on the base, computed from the base character;
-    they equal the cover bundle's classes carried back down the cover."""
-    return list(E.classes)
-
-
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:
     """The normalized classes entering the tautological relation: the i-th
     Chern class divided by order^(rank - i), so index 0 is 1/order^rank."""
     n = E.order
     r = E.rank
-    return [c / Fraction(n) ** (r - i) for i, c in enumerate(parabolic_chern(E))]
-
-
-def character_element(E: ParabolicBundle) -> RingElement:
-    """The full Chern character computed directly on the base ring."""
-    return E.character
+    return [c / Fraction(n) ** (r - i) for i, c in enumerate(E.classes)]
 
 
 def chern_character(E: ParabolicBundle) -> list[RingElement]:
-    """Graded parts 0..cutoff of :func:`character_element`."""
-    ch = character_element(E)
+    """Graded parts 0..cutoff of :attr:`ParabolicBundle.character`."""
+    ch = E.character
     return [ch.graded_part(k) for k in range(E.ring.cutoff + 1)]

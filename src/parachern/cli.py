@@ -16,17 +16,13 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 from . import grothendieck
-from .bundles import (
-    character_element,
-    chern_character,
-    cover_order,
-    parabolic_chern,
-)
+from .bundles import DEFAULT_WEIGHT_DENOMINATOR_CAP, chern_character
 from .chow import MissingIntegralError, integrate
 from .frontend import (
-    Command,
+    CommandDecl,
     Diagnostic,
     ElaborationError,
     ParseError,
@@ -51,7 +47,7 @@ class _CommandFailure(Exception):
         super().__init__(str(diagnostic))
 
 
-def _class_strings(classes: list[RingElement]) -> list[str]:
+def _class_strings(classes: Sequence[RingElement]) -> list[str]:
     return [str(c) for c in classes]
 
 
@@ -66,7 +62,7 @@ def _class_terms(element: RingElement) -> list[dict]:
     return out
 
 
-def _ct_polynomial_string(classes: list[RingElement]) -> str:
+def _ct_polynomial_string(classes: Sequence[RingElement]) -> str:
     parts = []
     for i, c in enumerate(classes):
         if i == 0:
@@ -79,26 +75,25 @@ def _ct_polynomial_string(classes: list[RingElement]) -> str:
     return " + ".join(parts)
 
 
-def _run_compute(scene: Scene, command: Command) -> dict:
+def _run_compute(scene: Scene, command: CommandDecl) -> dict:
     name = command.names[0]
     bundle = scene.parabolics[name]
-    order = cover_order(bundle)
     entry = {
         "command": f"compute {command.kind}",
         "target": name,
         "rank": bundle.rank,
-        "cover_order": order,
+        "cover_order": bundle.order,
     }
     if command.kind == "chern":
-        classes = parabolic_chern(bundle)
+        classes = bundle.classes
     elif command.kind == "ch":
         classes = chern_character(bundle)
     elif command.kind == "ctpoly":
-        classes = parabolic_chern(bundle)
+        classes = bundle.classes
         entry["polynomial"] = _ct_polynomial_string(classes)
     elif command.kind == "degree":
         try:
-            value = integrate(scene.variety, character_element(bundle))
+            value = integrate(scene.variety, bundle.character)
         except MissingIntegralError as exc:
             raise _CommandFailure(
                 Diagnostic("error", str(exc), command.pos[0], command.pos[1])
@@ -112,7 +107,7 @@ def _run_compute(scene: Scene, command: Command) -> dict:
     return entry
 
 
-def _run_verify(scene: Scene, command: Command) -> dict:
+def _run_verify(scene: Scene, command: CommandDecl) -> dict:
     if command.kind == "prop1":
         a, b = command.names
         checks = grothendieck.verify_pair_identities(
@@ -132,7 +127,7 @@ def _run_verify(scene: Scene, command: Command) -> dict:
         "command": f"verify {command.kind}",
         "target": name,
         "rank": bundle.rank,
-        "cover_order": cover_order(bundle),
+        "cover_order": bundle.order,
     }
     if command.kind == "grothendieck":
         check = grothendieck.verify_relation(bundle)
@@ -154,8 +149,8 @@ def execute_scene(
     commands = list(scene.commands)
     if verify_all:
         for name in scene.parabolics:
-            commands.append(Command("verify", "grothendieck", (name,), (0, 0)))
-            commands.append(Command("verify", "corollary1", (name,), (0, 0)))
+            commands.append(CommandDecl("verify", "grothendieck", (name,), (0, 0)))
+            commands.append(CommandDecl("verify", "corollary1", (name,), (0, 0)))
     entries = []
     all_passed = True
     for command in commands:
@@ -189,7 +184,7 @@ def evaluate_text(
     source: str,
     *,
     verify_all: bool = False,
-    max_denominator: int = 10**6,
+    max_denominator: int = DEFAULT_WEIGHT_DENOMINATOR_CAP,
     timings: bool = False,
 ) -> dict:
     """Parse, elaborate and execute one scene; returns the report mapping."""
@@ -354,7 +349,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-denominator",
         type=int,
-        default=10**6,
+        default=DEFAULT_WEIGHT_DENOMINATOR_CAP,
         help="cap on weight and coefficient denominators",
     )
     parser.add_argument(

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
+from .bundles import (
+    DEFAULT_WEIGHT_DENOMINATOR_CAP,
+    OrdinaryBundleClass,
+    ParabolicBundle,
+    trivial_line,
+)
 from .chow import ChowDescription, Variety, build_variety
 from .rings import InputError
 
@@ -343,9 +348,13 @@ class _Parser:
     def _parse_integral(self, kw: Token) -> IntegralDecl:
         mono = self._mono()
         self._expect_punct("=", "in the integral declaration")
+        # An integral may be negative (an exceptional curve has E^2 = -1).
+        sign = -1 if self._at_punct("-") else 1
+        if sign < 0:
+            self._advance()
         value, _ = self._rat()
         self._expect_punct(";", "after the integral declaration")
-        return IntegralDecl(mono, value, kw.pos)
+        return IntegralDecl(mono, sign * value, kw.pos)
 
     def _parse_bundle(self, kw: Token) -> BundleDecl:
         name = self._expect_name("after 'bundle'")
@@ -539,20 +548,11 @@ def format_program(ast: SceneAST) -> str:
 
 
 @dataclass
-class Command:
-    action: str
-    kind: str
-    names: tuple[str, ...]
-    pos: Pos
-
-
-@dataclass
 class Scene:
-    description: ChowDescription
     variety: Variety
     bundles: dict[str, OrdinaryBundleClass]
     parabolics: dict[str, ParabolicBundle]
-    commands: list[Command]
+    commands: list[CommandDecl]
 
 
 def _fail(message: str, pos: Pos):
@@ -575,7 +575,9 @@ def _factors(mono: MonoAST) -> tuple[tuple[str, int], ...]:
     return tuple((f.name, f.exponent) for f in mono)
 
 
-def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
+def elaborate(
+    ast: SceneAST, max_denominator: int = DEFAULT_WEIGHT_DENOMINATOR_CAP
+) -> Scene:
     """Build the variety and the object tables from a parsed scene.
 
     Enforces only what the library cannot know: exactly one variety,
@@ -738,7 +740,4 @@ def elaborate(ast: SceneAST, max_denominator: int = 10**6) -> Scene:
         except ValueError as exc:
             _fail(str(exc), decl.pos)
 
-    commands = [
-        Command(decl.action, decl.kind, decl.names, decl.pos) for decl in command_decls
-    ]
-    return Scene(description, variety, bundles, parabolics, commands)
+    return Scene(variety, bundles, parabolics, command_decls)

@@ -32,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bundles import (
-    ParabolicBundle,
-    character_element,
-    direct_sum,
-    dual,
-    parabolic_chern,
-    relation_classes,
-    tensor,
-)
+from .bundles import ParabolicBundle, direct_sum, dual, relation_classes, tensor
 from .rings import RingElement
 
 
@@ -89,12 +81,12 @@ def verify_relation(
     return RelationCheck(all(c.is_zero for c in residual), tuple(residual))
 
 
-def solve_from_relation(E: ParabolicBundle) -> list[RingElement]:
+def solve_from_relation(E: ParabolicBundle) -> tuple[RingElement, ...]:
     """Independent read-off of the Chern classes: the reduction of h^rank
     has the cover classes u_i as its coefficients (up to sign), and the
     cover carries them back down."""
     cm, upstairs = E.cover
-    return [E.variety.ring.one()] + [cm.pushdown(u) for u in upstairs[1:]]
+    return (E.variety.ring.one(), *(cm.pushdown(u) for u in upstairs[1:]))
 
 
 def verify_cover_pullback(E: ParabolicBundle) -> bool:
@@ -102,17 +94,18 @@ def verify_cover_pullback(E: ParabolicBundle) -> bool:
     exactly on the cover bundle's Chern classes.  The two sides are computed
     independently: one from the base character, one on the cover."""
     cm, upstairs = E.cover
-    downstairs = parabolic_chern(E)
-    return all(cm.pullback(c) == u for c, u in zip(downstairs, upstairs))
+    return all(cm.pullback(c) == u for c, u in zip(E.classes, upstairs))
 
 
-def _poly_mul(a: Sequence[RingElement], b: Sequence[RingElement]) -> list[RingElement]:
+def _poly_mul(
+    a: Sequence[RingElement], b: Sequence[RingElement]
+) -> tuple[RingElement, ...]:
     ring = a[0].ring
     out = [ring.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
-    return out
+    return tuple(out)
 
 
 def verify_pair_identities(E: ParabolicBundle, F: ParabolicBundle) -> PairIdentityChecks:
@@ -121,15 +114,10 @@ def verify_pair_identities(E: ParabolicBundle, F: ParabolicBundle) -> PairIdenti
     odd classes, and the character is multiplicative over tensor products."""
     if E.variety is not F.variety:
         raise ValueError("the pair must live on the same variety")
-    product = _poly_mul(parabolic_chern(E), parabolic_chern(F))
-    whitney = product == parabolic_chern(direct_sum(E, F))
-    dual_classes = parabolic_chern(dual(E))
-    base_classes = parabolic_chern(E)
+    whitney = _poly_mul(E.classes, F.classes) == direct_sum(E, F).classes
     dual_ok = all(
         d == (c if i % 2 == 0 else -c)
-        for i, (d, c) in enumerate(zip(dual_classes, base_classes))
+        for i, (d, c) in enumerate(zip(dual(E).classes, E.classes))
     )
-    tensor_ok = character_element(tensor(E, F)) == character_element(
-        E
-    ) * character_element(F)
+    tensor_ok = tensor(E, F).character == E.character * F.character
     return PairIdentityChecks(whitney, dual_ok, tensor_ok)

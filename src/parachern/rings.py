@@ -30,6 +30,9 @@ NormalForm = tuple[Numerators, int]
 # The normal form of a monomial above the cutoff; never mutated.
 _ZERO_FORM: NormalForm = ({}, 1)
 
+# Rewrite passes allowed before normalization gives up.
+RULE_ITERATION_CAP = 1000
+
 
 class RingMismatchError(ValueError):
     """Two elements that live in different rings were combined."""
@@ -77,7 +80,7 @@ class GradedRing:
     Terms of total degree above ``cutoff`` are identically zero.  Each rule
     maps a monomial to a polynomial of the same degree; normalization
     substitutes rules (in declaration order) until no monomial is divisible
-    by any rule's left side, bounded by ``rule_iteration_cap`` passes.  Rule
+    by any rule's left side, bounded by ``RULE_ITERATION_CAP`` passes.  Rule
     right sides are themselves reduced to a fixpoint at construction time,
     so a non-terminating rule set is rejected when the ring is built.  A
     malformed rule raises :class:`InputError` with the path
@@ -94,7 +97,6 @@ class GradedRing:
         generators: Sequence[tuple[str, int]],
         cutoff: int,
         rules: Sequence[tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]] = (),
-        rule_iteration_cap: int = 1000,
     ):
         names = []
         degrees = []
@@ -109,13 +111,10 @@ class GradedRing:
             degrees.append(int(degree))
         if int(cutoff) < 1:
             raise ValueError("cutoff must be a positive integer")
-        if int(rule_iteration_cap) < 1:
-            raise ValueError("rule_iteration_cap must be a positive integer")
         self._names = tuple(names)
         self._degrees = tuple(degrees)
         self._index = {name: i for i, name in enumerate(names)}
         self.cutoff = int(cutoff)
-        self.rule_iteration_cap = int(rule_iteration_cap)
         self._zero_mono: Monomial = (0,) * len(names)
         # Monomial at or below the cutoff -> (degree, normal form), where the
         # form is None for a normal monomial.  Entries only ever get added,
@@ -240,7 +239,7 @@ class GradedRing:
         current = {m: c for m, c in current.items() if c}
         if not self._rules:
             return current
-        for _ in range(self.rule_iteration_cap):
+        for _ in range(RULE_ITERATION_CAP):
             rewritten = False
             nxt: dict[Monomial, Fraction] = {}
             for mono, coeff in current.items():
@@ -259,7 +258,7 @@ class GradedRing:
             if not rewritten:
                 return current
         raise RewriteCapError(
-            f"normalization did not stabilize within {self.rule_iteration_cap} passes"
+            f"normalization did not stabilize within {RULE_ITERATION_CAP} passes"
         )
 
     def _entry(self, mono: Monomial) -> tuple[int, Optional[NormalForm]]:

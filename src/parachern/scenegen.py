@@ -17,14 +17,14 @@ from .frontend import Scene, elaborate, parse_program
 def random_scene_text(
     rng: random.Random,
     *,
-    dim_max: int = 3,
-    divisor_max: int = 3,
     rank_max: int = 4,
     weight_denominator_max: int = 12,
-    include_commands: bool = True,
 ) -> str:
-    dim = rng.randint(1, dim_max)
-    ndiv = rng.randint(1, divisor_max)
+    """A scene of dimension 1 to 3 with 1 to 3 divisors and up to three
+    parabolic bundles of rank at most ``rank_max``; each bundle is computed
+    and verified, and the first two are checked as a pair."""
+    dim = rng.randint(1, 3)
+    ndiv = rng.randint(1, 3)
     divisors = [f"D{i + 1}" for i in range(ndiv)]
     lines = [f"variety X dim {dim};", f"divisor {', '.join(divisors)};"]
     generators = list(divisors)
@@ -68,13 +68,12 @@ def random_scene_text(
                 break
         parabolics.append(pname)
         lines.append(f"parabolic {pname} = {' (+) '.join(summands)};")
-    if include_commands:
-        for pname in parabolics:
-            lines.append(f"compute chern {pname};")
-            lines.append(f"verify grothendieck {pname};")
-            lines.append(f"verify corollary1 {pname};")
-        if len(parabolics) >= 2:
-            lines.append(f"verify prop1 {parabolics[0]} {parabolics[1]};")
+    for pname in parabolics:
+        lines.append(f"compute chern {pname};")
+        lines.append(f"verify grothendieck {pname};")
+        lines.append(f"verify corollary1 {pname};")
+    if len(parabolics) >= 2:
+        lines.append(f"verify prop1 {parabolics[0]} {parabolics[1]};")
     return "\n".join(lines) + "\n"
 
 

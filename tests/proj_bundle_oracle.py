@@ -179,7 +179,7 @@ def relation_residual(
     return acc.coeffs
 
 
-def read_off(E: ParabolicBundle) -> list[RingElement]:
+def read_off(E: ParabolicBundle) -> tuple[RingElement, ...]:
     """The classes read off the reduction of h^rank: the h^(rank-i)
     coefficients with alternating signs, carried down the cover."""
     r = E.rank
@@ -188,4 +188,4 @@ def read_off(E: ParabolicBundle) -> list[RingElement]:
     out = [E.variety.ring.one()]
     for i in range(1, r + 1):
         out.append(cm.pushdown(reduced.coeffs[r - i] * ((-1) ** (i - 1))))
-    return out
+    return tuple(out)

@@ -9,14 +9,11 @@ from parachern.chow import ChowDescription, build_variety, integrate, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
-    character_element,
     chern_character,
     chern_classes,
     cover_bundle,
-    cover_order,
     direct_sum,
     dual,
-    parabolic_chern,
     relation_classes,
     tensor,
     trivial_line,
@@ -102,16 +99,16 @@ def test_parabolic_validation(surface):
 
 def test_cover_order(surface):
     E = worked_example(surface)
-    assert cover_order(E) == 3
+    assert E.order == 3
     ring = surface.ring
     plain = ParabolicBundle(surface, ((trivial_line(ring), {}),))
-    assert cover_order(plain) == 1
+    assert plain.order == 1
     Y = build_variety(ChowDescription("Y", 2, ("D1", "D2")))
     F = ParabolicBundle(
         Y,
         ((trivial_line(Y.ring), {"D1": Fraction(1, 2), "D2": Fraction(1, 3)}),),
     )
-    assert cover_order(F) == 6
+    assert F.order == 6
 
 
 def test_direct_sum(surface):
@@ -134,7 +131,7 @@ def test_dual_single_weight(surface):
     bundle, weights = D.summands[0]
     assert dict(weights) == {"D1": Fraction(2, 3)}
     assert bundle.character == exp_nilpotent(-d1)  # O(-D1)
-    assert character_element(D) == exp_nilpotent(-d1 / 3)
+    assert D.character == exp_nilpotent(-d1 / 3)
 
 
 def test_dual_fixes_weightless(surface):
@@ -147,7 +144,7 @@ def test_dual_fixes_weightless(surface):
 
 def test_dual_involution_on_character(surface):
     E = worked_example(surface)
-    assert character_element(dual(dual(E))) == character_element(E)
+    assert dual(dual(E)).character == E.character
 
 
 def test_tensor_carry(surface):
@@ -159,7 +156,7 @@ def test_tensor_carry(surface):
     assert dict(weights) == {"D1": Fraction(1, 3)}
     # carried into an integral twist
     assert chern_classes(bundle.character, bundle.rank) == (ring.one(), d1)
-    assert character_element(T) == exp_nilpotent(Fraction(4, 3) * d1)
+    assert T.character == exp_nilpotent(Fraction(4, 3) * d1)
 
 
 def test_tensor_no_carry(surface):
@@ -176,8 +173,8 @@ def test_tensor_unit(surface):
     E = worked_example(surface)
     unit = ParabolicBundle(surface, ((trivial_line(ring), {}),))
     T = tensor(E, unit)
-    assert character_element(T) == character_element(E)
-    assert parabolic_chern(T) == parabolic_chern(E)
+    assert T.character == E.character
+    assert T.classes == E.classes
 
 
 # --- the cover bundle --------------------------------------------------------
@@ -231,7 +228,7 @@ def test_parabolic_chern_worked_example(surface):
     E = worked_example(surface)
     ring = surface.ring
     d1 = ring.generator("D1")
-    assert parabolic_chern(E) == [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
+    assert E.classes == (ring.one(), d1, Fraction(2, 9) * d1 ** 2)
 
 
 def test_parabolic_chern_weightless_is_ordinary(surface):
@@ -239,17 +236,17 @@ def test_parabolic_chern_weightless_is_ordinary(surface):
     d1 = ring.generator("D1")
     V = OrdinaryBundleClass(2, 1 + 2 * d1 + d1 ** 2)
     E = ParabolicBundle(surface, ((V, {}),))
-    assert cover_order(E) == 1
-    assert parabolic_chern(E) == [ring.one(), 2 * d1, d1 ** 2]
+    assert E.order == 1
+    assert E.classes == (ring.one(), 2 * d1, d1 ** 2)
 
 
 def test_parabolic_chern_curve(curve):
     p = curve.ring.generator("p")
     L = ParabolicBundle(curve, ((trivial_line(curve.ring), {"p": Fraction(1, 2)}),))
-    classes = parabolic_chern(L)
-    assert classes == [curve.ring.one(), p / 2]
+    classes = L.classes
+    assert classes == (curve.ring.one(), p / 2)
     assert integrate(curve, classes[1]) == Fraction(1, 2)
-    assert integrate(curve, character_element(L)) == Fraction(1, 2)
+    assert integrate(curve, L.character) == Fraction(1, 2)
 
 
 def test_relation_classes(surface):
@@ -267,7 +264,7 @@ def test_relation_classes_weightless(surface):
     d1 = ring.generator("D1")
     V = OrdinaryBundleClass(2, 1 + d1)
     E = ParabolicBundle(surface, ((V, {}),))
-    assert relation_classes(E) == parabolic_chern(E)
+    assert tuple(relation_classes(E)) == E.classes
 
 
 def test_relation_class_normalization_rank1(curve):
@@ -294,17 +291,17 @@ def test_chern_polynomial_whitney_by_hand(surface):
     d1 = ring.generator("D1")
     a = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(1, 3)}),))
     b = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(2, 3)}),))
-    ca, cb = parabolic_chern(a), parabolic_chern(b)
-    assert ca == [ring.one(), d1 / 3]
-    assert cb == [ring.one(), Fraction(2, 3) * d1]
-    combined = parabolic_chern(direct_sum(a, b))
-    product = [
+    ca, cb = a.classes, b.classes
+    assert ca == (ring.one(), d1 / 3)
+    assert cb == (ring.one(), Fraction(2, 3) * d1)
+    combined = direct_sum(a, b).classes
+    product = (
         ca[0] * cb[0],
         ca[0] * cb[1] + ca[1] * cb[0],
         ca[1] * cb[1],
-    ]
+    )
     assert combined == product
-    assert combined == [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
+    assert combined == (ring.one(), d1, Fraction(2, 9) * d1 ** 2)
 
 
 # --- structural properties ---------------------------------------------------
@@ -335,8 +332,8 @@ def random_bundle(draw, variety):
 def test_two_path_character_consistency(data):
     variety = build_variety(ChowDescription("X", 2, ("D1",)))
     E = data.draw(random_bundle(variety))
-    cm = make_cover(variety, cover_order(E))
-    assert cm.pushdown(cover_bundle(E, cm).character) == character_element(E)
+    cm = make_cover(variety, E.order)
+    assert cm.pushdown(cover_bundle(E, cm).character) == E.character
 
 
 @given(st.data(), st.integers(min_value=1, max_value=3))
@@ -347,9 +344,9 @@ def test_base_classes_equal_cover_classes(data, k):
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
     for G in (E, dual(E), tensor(E, F), direct_sum(E, F)):
-        cm = make_cover(G.variety, k * cover_order(G))
+        cm = make_cover(G.variety, k * G.order)
         upstairs = chern_classes(cover_bundle(G, cm).character, G.rank)
-        assert parabolic_chern(G) == [cm.pushdown(c) for c in upstairs]
+        assert G.classes == tuple(cm.pushdown(c) for c in upstairs)
 
 
 @given(st.data())
@@ -357,17 +354,17 @@ def test_big_n_dual_and_sum(data):
     variety = build_variety(ChowDescription("X", 2, ("D1",)))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
-    assert cover_order(dual(E)) == cover_order(E)
-    assert cover_order(direct_sum(E, F)) == lcm(cover_order(E), cover_order(F))
-    assert lcm(cover_order(E), cover_order(F)) % cover_order(tensor(E, F)) == 0
+    assert dual(E).order == E.order
+    assert direct_sum(E, F).order == lcm(E.order, F.order)
+    assert lcm(E.order, F.order) % tensor(E, F).order == 0
 
 
 @given(st.data())
 def test_dual_negates_odd_classes(data):
     variety = build_variety(ChowDescription("X", 2, ("D1",)))
     E = data.draw(random_bundle(variety))
-    cd = parabolic_chern(dual(E))
-    cc = parabolic_chern(E)
+    cd = dual(E).classes
+    cc = E.classes
     for i, (a, b) in enumerate(zip(cd, cc)):
         assert a == (b if i % 2 == 0 else -b)
 
@@ -377,7 +374,7 @@ def test_tensor_multiplies_characters(data):
     variety = build_variety(ChowDescription("X", 2, ("D1",)))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
-    assert character_element(tensor(E, F)) == character_element(E) * character_element(F)
+    assert tensor(E, F).character == E.character * F.character
 
 
 @given(st.data())
@@ -393,7 +390,7 @@ def test_derived_characters_round_trip_through_the_constructor(data):
         for G in (dual(E), tensor(E, F), direct_sum(E, F))
         for bundle, _ in G.summands
     ]
-    built.append(cover_bundle(E, make_cover(variety, cover_order(E))))
+    built.append(cover_bundle(E, make_cover(variety, E.order)))
     for bundle in built:
         total = sum(chern_classes(bundle.character, bundle.rank))
         assert OrdinaryBundleClass(bundle.rank, total).character == bundle.character

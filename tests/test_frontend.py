@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from parachern.bundles import cover_order
-from parachern.cli import run
+from parachern.cli import evaluate_text, run
 from parachern.frontend import (
     BundleDecl,
     CommandDecl,
@@ -121,15 +120,36 @@ def test_print_round_trip_signs_and_rationals():
     assert parse_program(format_program(ast)) == ast
 
 
+NEGATIVE_INTEGRAL = (
+    "variety X dim 2;\ndivisor D1, E;\n"
+    "integral D1^2 = 1;\nintegral E^2 = -1;\nintegral D1*E = 0;\n"
+    "parabolic P = O{E:1/2};\ncompute degree P;\n"
+)
+
+
+def test_negative_integral():
+    # E is an exceptional curve, E^2 = -1; ch(P) = exp(E/2) has degree E^2/8.
+    ast = parse_program(NEGATIVE_INTEGRAL)
+    assert ast.statements[3].value == -1
+    assert parse_program(format_program(ast)) == ast
+    report = evaluate_text(NEGATIVE_INTEGRAL, "inline.pch")
+    assert report["status"] == "ok"
+    assert report["results"][0]["value"] == "-1/8"
+    # The sign is allowed on the integral value only, not on a weight.
+    with pytest.raises(ParseError) as err:
+        parse_program("variety X dim 1; divisor p; parabolic P = O{p:-1/2};")
+    assert err.value.diagnostics[0].message == "expected an integer in a rational"
+
+
 # --- elaboration -------------------------------------------------------------
 
 
 def test_elaborate_worked_scene():
     scene = elaborate(parse_program(WORKED))
-    assert scene.description.dim == 2
+    assert scene.variety.description.dim == 2
     E = scene.parabolics["E"]
     assert E.rank == 2
-    assert cover_order(E) == 3
+    assert E.order == 3
     assert len(scene.commands) == 1
 
 

@@ -12,9 +12,7 @@ from parachern.chow import ChowDescription, build_variety, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
-    character_element,
     chern_character,
-    parabolic_chern,
     relation_classes,
     tensor,
     trivial_line,
@@ -265,7 +263,7 @@ def test_solve_worked_example(surface):
     E = worked_example(surface)
     ring = surface.ring
     d1 = ring.generator("D1")
-    assert solve_from_relation(E) == [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
+    assert solve_from_relation(E) == (ring.one(), d1, Fraction(2, 9) * d1 ** 2)
 
 
 def test_solve_weightless(surface):
@@ -273,19 +271,19 @@ def test_solve_weightless(surface):
     d1 = ring.generator("D1")
     V = OrdinaryBundleClass(2, 1 + 2 * d1 + d1 ** 2)
     E = ParabolicBundle(surface, ((V, {}),))
-    assert solve_from_relation(E) == [ring.one(), 2 * d1, d1 ** 2]
+    assert solve_from_relation(E) == (ring.one(), 2 * d1, d1 ** 2)
 
 
 def test_solve_rank_one_curve():
     curve = build_variety(ChowDescription("C", 1, ("p",)))
     L = ParabolicBundle(curve, ((trivial_line(curve.ring), {"p": Fraction(1, 2)}),))
     p = curve.ring.generator("p")
-    assert solve_from_relation(L) == [curve.ring.one(), p / 2]
+    assert solve_from_relation(L) == (curve.ring.one(), p / 2)
 
 
 def test_solve_matches_parabolic_chern(surface):
     E = worked_example(surface)
-    assert solve_from_relation(E) == parabolic_chern(E)
+    assert solve_from_relation(E) == E.classes
 
 
 # --- pullback compatibility ------------------------------------------------------
@@ -358,10 +356,10 @@ def test_corrupted_tensor_would_fail(surface):
     bad = ParabolicBundle(
         surface, ((trivial_line(ring), {"D1": Fraction(1, 3)}),)
     )  # same weights as the real product but no twist
-    product = character_element(E) * character_element(E)
-    assert character_element(good) == product
-    assert character_element(bad) != product
-    assert character_element(bad) == exp_nilpotent(d1 / 3)
+    product = E.character * E.character
+    assert good.character == product
+    assert bad.character != product
+    assert bad.character == exp_nilpotent(d1 / 3)
 
 
 # --- derived data ---------------------------------------------------------------
@@ -393,11 +391,11 @@ def test_cover_is_built_once(surface, monkeypatch):
     }
     E = worked_example(surface)
     for _ in range(2):
-        parabolic_chern(E)
+        E.classes
         relation_classes(E)
         chern_character(E)
         assert verify_relation(E).passed
-        assert solve_from_relation(E) == parabolic_chern(E)
+        assert solve_from_relation(E) == E.classes
         assert verify_cover_pullback(E)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "make_cover": 1,
