@@ -32,8 +32,6 @@ from .rings import (
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
 
-DEFAULT_WEIGHT_DENOMINATOR_CAP = 10**6
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class OrdinaryBundleClass:
@@ -100,14 +98,12 @@ class ParabolicBundle:
     Each summand carries a map divisor -> weight with weights exact
     rationals in [0, 1), given as a mapping or as (divisor, weight) pairs;
     omitted divisors have weight 0, zero entries are dropped, and a divisor
-    may carry at most one weight per summand.  Weight denominators are
-    capped to keep the cover order bounded.  A failed weight check raises
+    may carry at most one weight per summand.  A failed weight check raises
     :class:`InputError` with the path ``("summands", summand, entry)``.
     """
 
     variety: Variety
     summands: tuple[Summand, ...]
-    max_weight_denominator: int = DEFAULT_WEIGHT_DENOMINATOR_CAP
 
     def __post_init__(self):
         if not self.summands:
@@ -130,12 +126,6 @@ class ParabolicBundle:
                 w = Fraction(value)
                 if not (0 <= w < 1):
                     raise InputError("weight must lie in [0,1)", *at)
-                if w.denominator > self.max_weight_denominator:
-                    raise InputError(
-                        "weight denominator exceeds the cap "
-                        f"{self.max_weight_denominator}",
-                        *at,
-                    )
                 cleaned[name] = w
             ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])
             canonical.append((bundle, tuple(kv for kv in ordered if kv[1])))
@@ -188,8 +178,7 @@ class ParabolicBundle:
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     if E.variety is not F.variety:
         raise ValueError("direct sum requires bundles on the same variety")
-    cap = max(E.max_weight_denominator, F.max_weight_denominator)
-    return ParabolicBundle(E.variety, E.summands + F.summands, cap)
+    return ParabolicBundle(E.variety, E.summands + F.summands)
 
 
 def _conjugate_character(ch: RingElement) -> RingElement:
@@ -215,7 +204,7 @@ def dual(E: ParabolicBundle) -> ParabolicBundle:
             twist = twist - ring.generator(name)
         ch = _conjugate_character(bundle.character) * exp_nilpotent(twist)
         out.append((OrdinaryBundleClass._from_character(bundle.rank, ch), new_weights))
-    return ParabolicBundle(E.variety, tuple(out), E.max_weight_denominator)
+    return ParabolicBundle(E.variety, tuple(out))
 
 
 def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
@@ -241,8 +230,7 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
             ch = bv.character * bw.character * exp_nilpotent(twist)
             bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
             out.append((bundle, weights))
-    cap = max(E.max_weight_denominator, F.max_weight_denominator)
-    return ParabolicBundle(E.variety, tuple(out), cap)
+    return ParabolicBundle(E.variety, tuple(out))
 
 
 def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:

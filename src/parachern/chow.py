@@ -108,6 +108,11 @@ class ChowDescription:
         for index, (mono, value) in enumerate(items):
             factors = list(mono.items() if isinstance(mono, Mapping) else mono)
             cm = _canon_mono(factors)
+            for name, _ in cm:
+                if name not in degrees:
+                    raise InputError(
+                        f"unknown generator {name!r}", "integrals", index
+                    )
             if sum(degrees[n] * e for n, e in cm) != self.dim:
                 raise InputError(
                     f"integral monomial must have degree {self.dim}",

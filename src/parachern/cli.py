@@ -11,6 +11,7 @@ figures are only included when requested so that JSON output is stable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -19,14 +20,15 @@ from pathlib import Path
 from typing import Sequence
 
 from . import grothendieck
-from .bundles import DEFAULT_WEIGHT_DENOMINATOR_CAP, chern_character
+from .bundles import chern_character
 from .chow import MissingIntegralError, integrate
 from .frontend import (
+    DEFAULT_MAX_DENOMINATOR,
     CommandDecl,
     Diagnostic,
-    ElaborationError,
     ParseError,
     Scene,
+    SceneError,
     elaborate,
     parse_program,
 )
@@ -39,12 +41,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_SEMANTIC_ERROR = 3
-
-
-class _CommandFailure(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
 
 
 def _class_strings(classes: Sequence[RingElement]) -> list[str]:
@@ -95,9 +91,7 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
         try:
             value = integrate(scene.variety, bundle.character)
         except MissingIntegralError as exc:
-            raise _CommandFailure(
-                Diagnostic("error", str(exc), command.pos[0], command.pos[1])
-            ) from None
+            raise SceneError([Diagnostic("error", str(exc), *command.pos)]) from None
         entry["value"] = str(value)
         return entry
     else:
@@ -167,16 +161,17 @@ def execute_scene(
     return entries, all_passed
 
 
-def _diagnostics_payload(diagnostics) -> list[dict]:
-    return [
-        {
-            "severity": d.severity,
-            "message": d.message,
-            "line": d.line,
-            "column": d.column,
-        }
-        for d in diagnostics
-    ]
+def _error_report(source: str, error: SceneError) -> dict:
+    """The report of a scene that failed: a parse error exits 2, any other
+    scene error 3."""
+    parse = isinstance(error, ParseError)
+    return {
+        "schema": SCHEMA_VERSION,
+        "source": source,
+        "status": "parse_error" if parse else "semantic_error",
+        "exit_code": EXIT_PARSE_ERROR if parse else EXIT_SEMANTIC_ERROR,
+        "diagnostics": [dataclasses.asdict(d) for d in error.diagnostics],
+    }
 
 
 def evaluate_text(
@@ -184,38 +179,24 @@ def evaluate_text(
     source: str,
     *,
     verify_all: bool = False,
-    max_denominator: int = DEFAULT_WEIGHT_DENOMINATOR_CAP,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     timings: bool = False,
 ) -> dict:
     """Parse, elaborate and execute one scene; returns the report mapping."""
-    report = {"schema": SCHEMA_VERSION, "source": source}
     try:
-        ast = parse_program(text)
-    except ParseError as exc:
-        report["status"] = "parse_error"
-        report["exit_code"] = EXIT_PARSE_ERROR
-        report["diagnostics"] = _diagnostics_payload(exc.diagnostics)
-        return report
-    try:
-        scene = elaborate(ast, max_denominator=max_denominator)
-    except ElaborationError as exc:
-        report["status"] = "semantic_error"
-        report["exit_code"] = EXIT_SEMANTIC_ERROR
-        report["diagnostics"] = _diagnostics_payload(exc.diagnostics)
-        return report
-    try:
+        scene = elaborate(parse_program(text), max_denominator=max_denominator)
         entries, all_passed = execute_scene(
             scene, verify_all=verify_all, timings=timings
         )
-    except _CommandFailure as exc:
-        report["status"] = "semantic_error"
-        report["exit_code"] = EXIT_SEMANTIC_ERROR
-        report["diagnostics"] = _diagnostics_payload([exc.diagnostic])
-        return report
-    report["status"] = "ok" if all_passed else "verification_failed"
-    report["exit_code"] = EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
-    report["results"] = entries
-    return report
+    except SceneError as exc:
+        return _error_report(source, exc)
+    return {
+        "schema": SCHEMA_VERSION,
+        "source": source,
+        "status": "ok" if all_passed else "verification_failed",
+        "exit_code": EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED,
+        "results": entries,
+    }
 
 
 def _entry_text(entry: dict) -> str:
@@ -349,7 +330,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-denominator",
         type=int,
-        default=DEFAULT_WEIGHT_DENOMINATOR_CAP,
+        default=DEFAULT_MAX_DENOMINATOR,
         help="cap on weight and coefficient denominators",
     )
     parser.add_argument(
@@ -382,29 +363,16 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "source": path.name,
-            "status": "semantic_error",
-            "exit_code": EXIT_SEMANTIC_ERROR,
-            "diagnostics": [
-                {
-                    "severity": "error",
-                    "message": f"cannot read file: {exc}",
-                    "line": 1,
-                    "column": 1,
-                }
-            ],
-        }
-        _render(report, args.json, stdout, stderr)
-        return EXIT_SEMANTIC_ERROR
-    report = evaluate_text(
-        text,
-        path.name,
-        verify_all=args.verify_all,
-        max_denominator=args.max_denominator,
-        timings=args.timings,
-    )
+        error = SceneError([Diagnostic("error", f"cannot read file: {exc}", 1, 1)])
+        report = _error_report(path.name, error)
+    else:
+        report = evaluate_text(
+            text,
+            path.name,
+            verify_all=args.verify_all,
+            max_denominator=args.max_denominator,
+            timings=args.timings,
+        )
     _render(report, args.json, stdout, stderr)
     return report["exit_code"]
 

@@ -13,17 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .bundles import (
-    DEFAULT_WEIGHT_DENOMINATOR_CAP,
-    OrdinaryBundleClass,
-    ParabolicBundle,
-    trivial_line,
-)
+from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import ChowDescription, Variety, build_variety
 from .rings import InputError
 
 COMPUTE_KINDS = ("chern", "ch", "ctpoly", "degree")
 VERIFY_KINDS = ("grothendieck", "prop1", "corollary1")
+# Cap on the denominator of every rational written in a scene.
+DEFAULT_MAX_DENOMINATOR = 10**6
 STATEMENT_KEYWORDS = (
     "variety",
     "divisor",
@@ -575,18 +572,19 @@ def _factors(mono: MonoAST) -> tuple[tuple[str, int], ...]:
     return tuple((f.name, f.exponent) for f in mono)
 
 
-def elaborate(
-    ast: SceneAST, max_denominator: int = DEFAULT_WEIGHT_DENOMINATOR_CAP
-) -> Scene:
+def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Scene:
     """Build the variety and the object tables from a parsed scene.
 
     Enforces only what the library cannot know: exactly one variety,
     unique names (``O`` is reserved for the trivial line bundle),
     declaration before use, the number of names each command takes, and
-    the cap on relation and Chern coefficient denominators.  Every value
-    check (weights, dimensions, degrees, ranks, homogeneity, integrals) is
-    made by the library constructors; the elaborator maps the
-    :class:`InputError` path of a failed check to the offending AST node.
+    the budget ``max_denominator`` on every denominator written in the
+    scene: relation and Chern coefficients and weights.  The budget bounds
+    the input only; bundles derived later (by tensor or dual) carry no cap.
+    Every value check (weights, dimensions, degrees, ranks, homogeneity,
+    integrals) is made by the library constructors; the elaborator maps
+    the :class:`InputError` path of a failed check to the offending AST
+    node.
     """
     variety_decl: VarietyDecl | None = None
     # name -> (statement index, kind); kinds: variety, divisor, class,
@@ -617,13 +615,13 @@ def elaborate(
             for factor in mono:
                 resolve(factor.name, ("divisor", "class"), index, factor.pos)
 
+    def cap_denominator(what: str, value: Fraction, pos: Pos):
+        if value.denominator > max_denominator:
+            _fail(f"{what} denominator exceeds the cap {max_denominator}", pos)
+
     def cap_coefficients(poly: PolyAST):
         for term in poly:
-            if term.coeff.denominator > max_denominator:
-                _fail(
-                    f"coefficient denominator exceeds the cap {max_denominator}",
-                    term.pos,
-                )
+            cap_denominator("coefficient", term.coeff, term.pos)
 
     for index, stmt in enumerate(ast.statements):
         if isinstance(stmt, VarietyDecl):
@@ -725,6 +723,9 @@ def elaborate(
 
     parabolics: dict[str, ParabolicBundle] = {}
     for decl in parabolic_decls:
+        for s in decl.summands:
+            for w in s.weights:
+                cap_denominator("weight", w.value, w.pos)
         summands = tuple(
             (
                 trivial_line(ring) if s.bundle == TRIVIAL else bundles[s.bundle],
@@ -733,7 +734,7 @@ def elaborate(
             for s in decl.summands
         )
         try:
-            parabolics[decl.name] = ParabolicBundle(variety, summands, max_denominator)
+            parabolics[decl.name] = ParabolicBundle(variety, summands)
         except InputError as exc:
             _, summand, entry = exc.path
             _fail(str(exc), decl.summands[summand].weights[entry].pos)

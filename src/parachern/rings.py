@@ -85,7 +85,7 @@ class GradedRing:
     so a non-terminating rule set is rejected when the ring is built.  A
     malformed rule raises :class:`InputError` with the path
     ``("rules", rule)``, or ``("rules", rule, term)`` for a term of the
-    wrong degree.
+    wrong degree or with an unknown generator.
 
     Every rewrite pass is a linear map that fixes normal monomials, so the
     normal form of a sum is the sum of the normal forms of its monomials.
@@ -121,8 +121,15 @@ class GradedRing:
         # and two threads filling the same entry store equal values.
         self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
         self._rules: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
+
+        def rule_monomial(spec: MonoSpec, *at: int) -> Monomial:
+            try:
+                return self.monomial(spec)
+            except KeyError as exc:
+                raise InputError(exc.args[0], "rules", *at) from None
+
         for idx, (lhs_spec, rhs_terms) in enumerate(rules):
-            lhs = self.monomial(lhs_spec)
+            lhs = rule_monomial(lhs_spec, idx)
             if lhs == self._zero_mono:
                 raise InputError(
                     "rule left side must be a non-constant monomial", "rules", idx
@@ -130,7 +137,7 @@ class GradedRing:
             lhs_degree = self.monomial_degree(lhs)
             rhs: dict[Monomial, Fraction] = {}
             for term, (coeff, mono_spec) in enumerate(rhs_terms):
-                mono = self.monomial(mono_spec)
+                mono = rule_monomial(mono_spec, idx, term)
                 if self.monomial_degree(mono) != lhs_degree:
                     raise InputError(
                         "relation is not degree-homogeneous", "rules", idx, term

@@ -74,12 +74,6 @@ def test_parabolic_validation(surface):
         ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(3, 2)}),))
     with pytest.raises(ValueError):
         ParabolicBundle(surface, ((trivial_line(ring), {"D9": Fraction(1, 2)}),))
-    with pytest.raises(ValueError):
-        ParabolicBundle(
-            surface,
-            ((trivial_line(ring), {"D1": Fraction(1, 7)}),),
-            max_weight_denominator=5,
-        )
     with pytest.raises(InputError, match="duplicate weight for divisor 'D1'") as err:
         ParabolicBundle(
             surface,
@@ -166,6 +160,17 @@ def test_tensor_no_carry(surface):
     bundle, weights = T.summands[0]
     assert dict(weights) == {"D1": Fraction(2, 3)}
     assert chern_classes(bundle.character, bundle.rank) == (ring.one(), ring.zero())
+
+
+def test_tensor_of_large_denominators(surface):
+    # The sum of two weights may have a denominator far above either one;
+    # the library puts no cap on it.
+    ring = surface.ring
+    E = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(1, 999983)}),))
+    F = ParabolicBundle(surface, ((trivial_line(ring), {"D1": Fraction(1, 999979)}),))
+    T = tensor(E, F)
+    assert dict(T.summands[0][1]) == {"D1": Fraction(1, 999983) + Fraction(1, 999979)}
+    assert T.order == 999983 * 999979
 
 
 def test_tensor_unit(surface):

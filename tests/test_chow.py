@@ -74,6 +74,31 @@ def test_description_validation():
         )
     assert str(err.value) == "duplicate integral for monomial D1*D2^0*D1"
     assert err.value.path == ("integrals", 1)
+    with pytest.raises(InputError) as err:
+        ChowDescription("X", 2, ("D1",), integrals=[({"D9": 2}, 1)])
+    assert str(err.value) == "unknown generator 'D9'"
+    assert err.value.path == ("integrals", 0)
+
+
+def test_relation_with_unknown_generator():
+    with pytest.raises(InputError) as err:
+        build_ring(ChowDescription("X", 2, ("D1",), relations=[({"D9": 2}, ())]))
+    assert str(err.value) == "unknown generator 'D9'"
+    assert err.value.path == ("rules", 0)
+    with pytest.raises(InputError) as err:
+        build_ring(
+            ChowDescription(
+                "X",
+                2,
+                ("D1", "D2"),
+                relations=[
+                    ({"D2": 2}, ()),
+                    ({"D1": 2}, [(1, {"D1": 1, "D2": 1}), (2, {"D9": 2})]),
+                ],
+            )
+        )
+    assert str(err.value) == "unknown generator 'D9'"
+    assert err.value.path == ("rules", 1, 1)
 
 
 def test_make_cover_transports_relations():

@@ -1,11 +1,15 @@
 import io
 import json
+import random
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from parachern import grothendieck
 from parachern.cli import evaluate_text, run
+from parachern.scenegen import random_scene_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,6 +176,46 @@ def test_random_mode_deterministic():
     assert len(report["scenes"]) == 3
     for scene in report["scenes"]:
         assert scene["status"] == "ok"
+
+
+def test_random_mode_caps_only_scene_text():
+    # Tensor products of the scenes' weights have denominators above 12;
+    # the cap bounds what a scene writes, not what is derived from it.
+    argv = ["--random", "10", "--seed", "7", "--max-denominator", "12"]
+    code, _, err = run_capture(argv)
+    assert code == 0
+    assert err == ""
+
+
+def test_prop1_tensor_weights_exceed_the_cap(tmp_path):
+    scene = tmp_path / "pair.pch"
+    scene.write_text(
+        "variety X dim 2; divisor D; parabolic E = O{D:1/5}; "
+        "parabolic F = O{D:1/6}; verify prop1 E F;"
+    )
+    code, out, err = run_capture([str(scene), "--json", "--max-denominator", "6"])
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["results"][0]
+    assert entry["tensor"] is True
+    assert entry["passed"] is True
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**30 - 1),
+    weight_denominator_max=st.integers(2, 12),
+    cap=st.integers(1, 12),
+)
+def test_no_scene_raises_out_of_evaluate_text(seed, weight_denominator_max, cap):
+    # Weights fall on both sides of the cap: a scene within it passes every
+    # verification, and one beyond it gets a diagnostic.
+    text = random_scene_text(
+        random.Random(seed), weight_denominator_max=weight_denominator_max
+    )
+    report = evaluate_text(text, "p", verify_all=True, max_denominator=cap)
+    assert report["exit_code"] in (0, 3)
+    if report["exit_code"] == 3:
+        assert "denominator exceeds the cap" in report["diagnostics"][0]["message"]
 
 
 def test_random_mode_respects_seed():
