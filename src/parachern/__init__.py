@@ -33,7 +33,6 @@ from .bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
     chern_character,
-    chern_classes,
     cover_bundle,
     direct_sum,
     dual,
@@ -83,7 +82,6 @@ __all__ = [
     "OrdinaryBundleClass",
     "ParabolicBundle",
     "chern_character",
-    "chern_classes",
     "cover_bundle",
     "direct_sum",
     "dual",

@@ -32,7 +32,7 @@ from .frontend import (
     elaborate,
     parse_program,
 )
-from .rings import RingElement
+from .rings import RewriteCapError, RingElement
 from .scenegen import random_scene_text
 
 SCHEMA_VERSION = 1
@@ -88,11 +88,7 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
         classes = bundle.classes
         entry["polynomial"] = _ct_polynomial_string(classes)
     elif command.kind == "degree":
-        try:
-            value = integrate(scene.variety, bundle.character)
-        except MissingIntegralError as exc:
-            raise SceneError([Diagnostic("error", str(exc), *command.pos)]) from None
-        entry["value"] = str(value)
+        entry["value"] = str(integrate(scene.variety, bundle.character))
         return entry
     else:
         raise ValueError(f"unknown compute kind {command.kind!r}")
@@ -139,20 +135,29 @@ def _run_verify(scene: Scene, command: CommandDecl) -> dict:
 def execute_scene(
     scene: Scene, *, verify_all: bool = False, timings: bool = False
 ) -> tuple[list[dict], bool]:
-    """Run the scene's commands in order; returns (entries, all_passed)."""
+    """Run the scene's commands in order; returns (entries, all_passed).
+
+    ``verify_all`` appends a relation and a pullback check for every
+    parabolic bundle, positioned at its declaration.  A missing integral
+    or a rule set that never stops rewriting fails the scene at the
+    command that met it.
+    """
     commands = list(scene.commands)
     if verify_all:
-        for name in scene.parabolics:
-            commands.append(CommandDecl("verify", "grothendieck", (name,), (0, 0)))
-            commands.append(CommandDecl("verify", "corollary1", (name,), (0, 0)))
+        for name, pos in scene.positions.items():
+            commands.append(CommandDecl("verify", "grothendieck", (name,), pos))
+            commands.append(CommandDecl("verify", "corollary1", (name,), pos))
     entries = []
     all_passed = True
     for command in commands:
         started = time.perf_counter()
-        if command.action == "compute":
-            entry = _run_compute(scene, command)
-        else:
-            entry = _run_verify(scene, command)
+        try:
+            if command.action == "compute":
+                entry = _run_compute(scene, command)
+            else:
+                entry = _run_verify(scene, command)
+        except (MissingIntegralError, RewriteCapError) as exc:
+            raise SceneError([Diagnostic("error", str(exc), *command.pos)]) from None
         if timings:
             entry["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         if entry.get("passed") is False:

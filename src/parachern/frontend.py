@@ -17,8 +17,11 @@ from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import ChowDescription, Variety, build_variety
 from .rings import InputError
 
-COMPUTE_KINDS = ("chern", "ch", "ctpoly", "degree")
-VERIFY_KINDS = ("grothendieck", "prop1", "corollary1")
+# Command kinds by action, each with the number of names it takes.
+COMMANDS = {
+    "compute": {"chern": 1, "ch": 1, "ctpoly": 1, "degree": 1},
+    "verify": {"grothendieck": 1, "prop1": 2, "corollary1": 1},
+}
 # Cap on the denominator of every rational written in a scene.
 DEFAULT_MAX_DENOMINATOR = 10**6
 STATEMENT_KEYWORDS = (
@@ -372,34 +375,21 @@ class _Parser:
         self._expect_punct(";", "after the parabolic declaration")
         return ParabolicDecl(name.text, tuple(summands), kw.pos)
 
-    def _parse_compute(self, kw: Token) -> CommandDecl:
-        kind = self._expect_name("after 'compute'")
-        if kind.text not in COMPUTE_KINDS:
+    def _parse_command(self, kw: Token) -> CommandDecl:
+        kinds = COMMANDS[kw.text]
+        kind = self._expect_name(f"after '{kw.text}'")
+        if kind.text not in kinds:
             self._fail(
-                f"unknown compute kind {kind.text!r} "
-                f"(expected one of {', '.join(COMPUTE_KINDS)})",
+                f"unknown {kw.text} kind {kind.text!r} "
+                f"(expected one of {', '.join(kinds)})",
                 kind,
             )
-        target = self._expect_name(f"after 'compute {kind.text}'")
+        context = f"after '{kw.text} {kind.text}'"
+        names = tuple(self._expect_name(context).text for _ in range(kinds[kind.text]))
         self._expect_punct(";", "after the command")
-        return CommandDecl("compute", kind.text, (target.text,), kw.pos)
+        return CommandDecl(kw.text, kind.text, names, kw.pos)
 
-    def _parse_verify(self, kw: Token) -> CommandDecl:
-        kind = self._expect_name("after 'verify'")
-        if kind.text not in VERIFY_KINDS:
-            self._fail(
-                f"unknown verify kind {kind.text!r} "
-                f"(expected one of {', '.join(VERIFY_KINDS)})",
-                kind,
-            )
-        names = []
-        if kind.text == "prop1":
-            names.append(self._expect_name("after 'verify prop1'").text)
-            names.append(self._expect_name("after 'verify prop1'").text)
-        if self._peek().kind == "name":
-            names.append(self._advance().text)
-        self._expect_punct(";", "after the command")
-        return CommandDecl("verify", kind.text, tuple(names), kw.pos)
+    _parse_compute = _parse_verify = _parse_command
 
     def _mono(self) -> MonoAST:
         factors = [self._mono_factor()]
@@ -533,8 +523,7 @@ def format_program(ast: SceneAST) -> str:
             summands = " (+) ".join(_format_summand(s) for s in stmt.summands)
             lines.append(f"parabolic {stmt.name} = {summands};")
         elif isinstance(stmt, CommandDecl):
-            tail = " ".join(stmt.names)
-            lines.append(f"{stmt.action} {stmt.kind} {tail};".replace("  ", " "))
+            lines.append(f"{stmt.action} {stmt.kind} {' '.join(stmt.names)};")
         else:
             raise TypeError(f"unknown statement {stmt!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -550,6 +539,8 @@ class Scene:
     bundles: dict[str, OrdinaryBundleClass]
     parabolics: dict[str, ParabolicBundle]
     commands: list[CommandDecl]
+    # Where each parabolic bundle is declared.
+    positions: dict[str, Pos]
 
 
 def _fail(message: str, pos: Pos):
@@ -575,12 +566,13 @@ def _factors(mono: MonoAST) -> tuple[tuple[str, int], ...]:
 def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Scene:
     """Build the variety and the object tables from a parsed scene.
 
-    Enforces only what the library cannot know: exactly one variety,
-    unique names (``O`` is reserved for the trivial line bundle),
-    declaration before use, the number of names each command takes, and
-    the budget ``max_denominator`` on every denominator written in the
-    scene: relation and Chern coefficients and weights.  The budget bounds
-    the input only; bundles derived later (by tensor or dual) carry no cap.
+    Enforces only what neither the parser nor the library can know:
+    exactly one variety, unique names (``O`` is reserved for the trivial
+    line bundle), declaration before use, and the budget
+    ``max_denominator`` on every denominator written in the scene: relation
+    and Chern coefficients and weights.  The budget bounds the input only;
+    bundles derived later (by tensor or dual) carry no cap.  The parser
+    owns the number of names each command takes.
     Every value check (weights, dimensions, degrees, ranks, homogeneity,
     integrals) is made by the library constructors; the elaborator maps
     the :class:`InputError` path of a failed check to the offending AST
@@ -654,16 +646,6 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
             declare(stmt.name, index, "parabolic", stmt.pos)
             parabolic_decls.append(stmt)
         elif isinstance(stmt, CommandDecl):
-            if stmt.action == "compute" or stmt.kind in ("grothendieck", "corollary1"):
-                expected = 1
-            else:
-                expected = 2
-            if len(stmt.names) != expected:
-                _fail(
-                    f"{stmt.action} {stmt.kind} expects exactly "
-                    f"{expected} name{'s' if expected > 1 else ''}",
-                    stmt.pos,
-                )
             for name in stmt.names:
                 resolve(name, ("parabolic",), index, stmt.pos)
             command_decls.append(stmt)
@@ -711,12 +693,14 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
     for decl in bundle_decls:
         cap_coefficients(decl.chern)
         element = ring.zero()
-        for term in decl.chern:
-            piece = ring.scalar(term.coeff)
-            for factor in term.factors:
-                piece = piece * ring.generator(factor.name) ** factor.exponent
-            element = element + piece
         try:
+            # Normalizing a product fails here on a rule set that never
+            # stops rewriting.
+            for term in decl.chern:
+                piece = ring.scalar(term.coeff)
+                for factor in term.factors:
+                    piece = piece * ring.generator(factor.name) ** factor.exponent
+                element = element + piece
             bundles[decl.name] = OrdinaryBundleClass(decl.rank, element)
         except ValueError as exc:
             _fail(str(exc), decl.pos)
@@ -741,4 +725,5 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
         except ValueError as exc:
             _fail(str(exc), decl.pos)
 
-    return Scene(variety, bundles, parabolics, command_decls)
+    positions = {decl.name: decl.pos for decl in parabolic_decls}
+    return Scene(variety, bundles, parabolics, command_decls, positions)

@@ -10,6 +10,11 @@ only at the API: in constructor input, scalar operands and the coefficients
 that `terms` and `sorted_terms` hand out.  Each ring memoizes the normal
 form of every monomial it meets, so rewriting runs once per monomial and
 ring rather than once per product.  Nothing here touches floating point.
+
+The Newton bridge between a total Chern class and a Chern character takes
+and returns whole elements and splits graded parts itself;
+:func:`character_from_chern` is the one place a total Chern class is
+checked.
 """
 
 from __future__ import annotations
@@ -408,10 +413,6 @@ class RingElement:
         }
         return RingElement._make(ring, *_canonical(picked, self._den))
 
-    def is_homogeneous_of(self, k: int) -> bool:
-        entry = self.ring._entry
-        return all(entry(m)[0] == k for m in self._num)
-
     def _coerce(self, other):
         if isinstance(other, RingElement):
             if other.ring is not self.ring:
@@ -544,19 +545,6 @@ class RingElement:
         return f"RingElement({self})"
 
 
-def _require_same_ring(parts: Sequence[RingElement]) -> GradedRing:
-    ring = parts[0].ring
-    for part in parts[1:]:
-        if part.ring is not ring:
-            raise RingMismatchError("elements belong to different rings")
-    return ring
-
-
-def _require_homogeneous(part: RingElement, k: int, label: str):
-    if not part.is_homogeneous_of(k):
-        raise ValueError(f"{label}[{k}] is not homogeneous of degree {k}")
-
-
 def exp_nilpotent(a: RingElement) -> RingElement:
     """Exponential sum(a^k / k!) of an element with vanishing degree-0 part.
 
@@ -575,29 +563,22 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     return result
 
 
-def chern_from_character(ch_parts: Sequence[RingElement], rank: int) -> list[RingElement]:
-    """Recover Chern classes c_0..c_rank from graded character parts.
+def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement, ...]:
+    """Chern classes c_0..c_rank of a rank-``rank`` Chern character.
 
     The power sums p_k = k! * ch_k and the classes satisfy Newton's
     identities p_k - c_1 p_{k-1} + ... + (-1)^(k-1) c_{k-1} p_1
     + (-1)^k k c_k = 0.  Classes above the ring cutoff come back as zero.
     """
-    if not ch_parts:
-        raise ValueError("character parts must be non-empty")
     if int(rank) < 1:
         raise ValueError("rank must be a positive integer")
-    ring = _require_same_ring(list(ch_parts))
-    if ch_parts[0] != ring.scalar(rank):
+    rank = int(rank)
+    ring = character.ring
+    if character.graded_part(0) != ring.scalar(rank):
         raise ValueError("character part 0 must equal the rank")
-    for k, part in enumerate(ch_parts):
-        _require_homogeneous(part, k, "ch")
     top = min(rank, ring.cutoff)
     p = [ring.zero()]
-    for k in range(1, top + 1):
-        if k < len(ch_parts):
-            p.append(ch_parts[k] * factorial(k))
-        else:
-            p.append(ring.zero())
+    p.extend(character.graded_part(k) * factorial(k) for k in range(1, top + 1))
     classes = [ring.one()]
     for k in range(1, top + 1):
         acc = ring.zero()
@@ -605,35 +586,37 @@ def chern_from_character(ch_parts: Sequence[RingElement], rank: int) -> list[Rin
             acc = acc + classes[j] * p[k - j] * ((-1) ** j)
         classes.append(acc * Fraction((-1) ** (k + 1), k))
     classes.extend(ring.zero() for _ in range(rank - top))
-    return classes
+    return tuple(classes)
 
 
-def character_from_chern(chern: Sequence[RingElement], rank: int) -> list[RingElement]:
-    """Graded character parts ch_0..ch_cutoff of a rank-``rank`` class list.
+def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
+    """Chern character of a rank-``rank`` bundle with the given total Chern
+    class; its degree-0 part is the rank.
 
-    Inverse of :func:`chern_from_character` up to the degree cutoff; part 0
-    equals the rank.
+    The one check of a total Chern class: its degree-0 part must be 1 and
+    its parts above min(rank, cutoff) must vanish.  Inverse of
+    :func:`chern_from_character` up to the degree cutoff.
     """
-    if not chern:
-        raise ValueError("class list must be non-empty")
     if int(rank) < 1:
-        raise ValueError("rank must be a positive integer")
-    if len(chern) > rank + 1:
-        raise ValueError("more Chern classes than the rank allows")
-    ring = _require_same_ring(list(chern))
+        raise ValueError("bundle rank must be at least 1")
+    rank = int(rank)
+    ring = total_chern.ring
+    chern = [total_chern.graded_part(k) for k in range(ring.cutoff + 1)]
     if chern[0] != ring.one():
-        raise ValueError("class 0 must equal 1")
-    for k, part in enumerate(chern):
-        _require_homogeneous(part, k, "c")
-    padded = list(chern) + [ring.zero()] * (rank + 1 - len(chern))
+        raise ValueError("total Chern class must have degree-0 part 1")
+    for k in range(rank + 1, ring.cutoff + 1):
+        if not chern[k].is_zero:
+            raise ValueError(
+                f"Chern part of degree {k} exceeds the bundle rank {rank}"
+            )
     p = [ring.zero()]
-    parts = [ring.scalar(rank)]
+    character = ring.scalar(rank)
     for k in range(1, ring.cutoff + 1):
         acc = ring.zero()
         for j in range(1, min(k - 1, rank) + 1):
-            acc = acc + padded[j] * p[k - j] * ((-1) ** (j - 1))
+            acc = acc + chern[j] * p[k - j] * ((-1) ** (j - 1))
         if k <= rank:
-            acc = acc + padded[k] * ((-1) ** (k + 1) * k)
+            acc = acc + chern[k] * ((-1) ** (k + 1) * k)
         p.append(acc)
-        parts.append(acc * Fraction(1, factorial(k)))
-    return parts
+        character = character + acc * Fraction(1, factorial(k))
+    return character

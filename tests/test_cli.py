@@ -111,6 +111,46 @@ def test_missing_integral_names_monomial(tmp_path):
     assert diag["line"] >= 1 and diag["column"] >= 1
 
 
+# Both right sides are normal, so the ring builds; then A*B*D rewrites to
+# A*C*D and back to A*B*D without end.
+REWRITE_CYCLE = (
+    "variety X dim 3;\n"
+    "divisor A, B, C, D;\n"
+    "relation A*B = A*C;\n"
+    "relation C*D = B*D;\n"
+    "parabolic E = O{A:1/2} (+) O{B:1/2} (+) O{D:1/2};\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, verify_all, position",
+    [
+        (REWRITE_CYCLE + "compute chern E;\n", False, (6, 1)),
+        # Appended checks are positioned at the bundle's declaration.
+        (REWRITE_CYCLE, True, (5, 1)),
+        # A Chern class is normalized while the scene is elaborated.
+        (
+            REWRITE_CYCLE.replace(
+                "parabolic", "bundle V rank 3 chern 1 + A*B*D;\nparabolic"
+            ),
+            False,
+            (5, 1),
+        ),
+    ],
+)
+def test_rewrite_cycle_is_a_positioned_semantic_error(text, verify_all, position):
+    report = evaluate_text(text, "cycle.pch", verify_all=verify_all)
+    assert report["exit_code"] == 3
+    assert report["diagnostics"] == [
+        {
+            "severity": "error",
+            "message": "normalization did not stabilize within 1000 passes",
+            "line": position[0],
+            "column": position[1],
+        }
+    ]
+
+
 def test_unreadable_file():
     code, _, err = run_capture(["/nonexistent/nowhere.pch"])
     assert code == 3

@@ -99,6 +99,38 @@ def test_parse_verify_forms():
     ]
 
 
+ARITY_PREFIX = "variety X dim 1;\ndivisor p;\nparabolic E = O{p:1/2};\n"
+
+
+@pytest.mark.parametrize(
+    "command, message, position",
+    [
+        ("compute chern E E;", "expected ';' after the command", (4, 17)),
+        ("verify grothendieck E E;", "expected ';' after the command", (4, 23)),
+        ("verify prop1 E;", "expected a name after 'verify prop1'", (4, 15)),
+        ("verify prop1 E E E;", "expected ';' after the command", (4, 18)),
+        (
+            "verify grothendieck;",
+            "expected a name after 'verify grothendieck'",
+            (4, 20),
+        ),
+        ("verify prop1 E E E E;", "expected ';' after the command", (4, 18)),
+    ],
+)
+def test_wrong_name_count_is_a_parse_error(tmp_path, command, message, position):
+    text = ARITY_PREFIX + command + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    diag = err.value.diagnostics[0]
+    assert diag.message == message
+    assert (diag.line, diag.column) == position
+    scene = tmp_path / "arity.pch"
+    scene.write_text(text)
+    out, errs = io.StringIO(), io.StringIO()
+    assert run([str(scene)], stdout=out, stderr=errs) == 2
+    assert f"arity.pch:{position[0]}:{position[1]}: error: {message}" in errs.getvalue()
+
+
 # --- printing ----------------------------------------------------------------
 
 

@@ -229,58 +229,69 @@ def test_ring_axioms(data):
 # --- Chern class / character bridge ----------------------------------------
 
 
+def threefold_ring():
+    # Dimension 3 with a degree-2 generator that A^2 rewrites to.
+    return GradedRing(
+        [("A", 1), ("B", 1), ("S", 2)],
+        cutoff=3,
+        rules=[({"A": 2}, [(1, {"S": 1})])],
+    )
+
+
 def test_chern_from_character_rank2():
-    # c2 = (c1^2 - 2 ch2) / 2, worked by hand for ch = (2, D1, 5/18 D1^2).
+    # c2 = (c1^2 - 2 ch2) / 2, worked by hand for ch = 2 + D1 + 5/18 D1^2.
     ring = plain_surface()
     d1 = ring.generator("D1")
-    ch = [ring.scalar(2), d1, Fraction(5, 18) * d1 ** 2]
-    classes = chern_from_character(ch, 2)
-    assert classes == [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
+    classes = chern_from_character(2 + d1 + Fraction(5, 18) * d1 ** 2, 2)
+    assert classes == (ring.one(), d1, Fraction(2, 9) * d1 ** 2)
 
 
 def test_chern_from_character_line_bundle():
     ring = plain_surface()
     d1 = ring.generator("D1")
-    ch = [ring.one(), d1 / 2, d1 ** 2 / 8]
-    assert chern_from_character(ch, 1) == [ring.one(), d1 / 2]
+    ch = 1 + d1 / 2 + d1 ** 2 / 8
+    assert chern_from_character(ch, 1) == (ring.one(), d1 / 2)
 
 
 def test_chern_from_character_trivial():
     ring = plain_surface()
-    classes = chern_from_character([ring.scalar(2), ring.zero(), ring.zero()], 2)
-    assert classes == [ring.one(), ring.zero(), ring.zero()]
+    classes = chern_from_character(ring.scalar(2), 2)
+    assert classes == (ring.one(), ring.zero(), ring.zero())
 
 
 def test_chern_from_character_validates():
     ring = plain_surface()
     d1 = ring.generator("D1")
-    with pytest.raises(ValueError):
-        chern_from_character([ring.scalar(3)], 2)  # part 0 disagrees with rank
-    with pytest.raises(ValueError):
-        chern_from_character([ring.scalar(2), 1 + d1], 2)  # not homogeneous
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        chern_from_character(ring.zero(), 0)
+    with pytest.raises(ValueError, match="character part 0 must equal the rank"):
+        chern_from_character(3 + d1, 2)
 
 
 def test_character_from_chern_rank2():
     ring = plain_surface()
     d1 = ring.generator("D1")
-    classes = [ring.one(), d1, Fraction(2, 9) * d1 ** 2]
-    parts = character_from_chern(classes, 2)
-    assert parts == [ring.scalar(2), d1, Fraction(5, 18) * d1 ** 2]
+    character = character_from_chern(1 + d1 + Fraction(2, 9) * d1 ** 2, 2)
+    assert character == 2 + d1 + Fraction(5, 18) * d1 ** 2
 
 
 def test_character_of_line_bundle_is_exp():
     ring = plain_surface()
     d1 = ring.generator("D1")
-    parts = character_from_chern([ring.one(), d1], 1)
-    total = parts[0] + parts[1] + parts[2]
-    assert total == exp_nilpotent(d1)
+    assert character_from_chern(1 + d1, 1) == exp_nilpotent(d1)
 
 
 def test_character_from_chern_validates():
     ring = plain_surface()
     d1 = ring.generator("D1")
-    with pytest.raises(ValueError):
-        character_from_chern([d1], 1)
+    with pytest.raises(ValueError, match="bundle rank must be at least 1"):
+        character_from_chern(ring.one(), 0)
+    with pytest.raises(ValueError, match="total Chern class must have degree-0 part 1"):
+        character_from_chern(d1, 1)
+    with pytest.raises(
+        ValueError, match="Chern part of degree 2 exceeds the bundle rank 1"
+    ):
+        character_from_chern(1 + d1 + d1 ** 2, 1)
 
 
 def test_newton_bridge_against_root_products():
@@ -300,38 +311,38 @@ def test_newton_bridge_against_root_products():
         for root in chosen:
             ch_total = ch_total + exp_nilpotent(root)
             c_total = c_total * (1 + root)
-        parts = [ch_total.graded_part(k) for k in range(ring.cutoff + 1)]
-        classes = chern_from_character(parts, r)
+        classes = chern_from_character(ch_total, r)
         for k, c in enumerate(classes):
             if k <= ring.cutoff:
                 assert c == c_total.graded_part(k)
             else:
                 assert c.is_zero
-        total = ring.zero()
-        for c in classes:
-            total = total + c
-        assert total == c_total
+        assert sum(classes) == c_total
+        assert character_from_chern(c_total, r) == ch_total
 
 
 @given(st.data())
 def test_bridge_round_trip(data):
-    ring = surface_ring()
-    d_strats = [
-        st.dictionaries(
-            st.sampled_from(ring.basis_monomials(k)),
-            st.integers(min_value=-3, max_value=3).map(Fraction),
-            max_size=3,
-        ).map(lambda terms: RingElement(ring, terms))
-        for k in (1, 2)
-    ]
-    rank = data.draw(st.integers(min_value=1, max_value=4))
-    classes = [ring.one(), data.draw(d_strats[0])]
-    if rank >= 2:
-        classes.append(data.draw(d_strats[1]))
-    parts = character_from_chern(classes, rank)
-    recovered = chern_from_character(parts, rank)
-    padded = classes + [ring.zero()] * (rank + 1 - len(classes))
-    assert recovered == padded
+    # A total class with a nonzero part in every degree up to min(rank,
+    # cutoff), for ranks below, at and above the cutoff.
+    ring = data.draw(st.sampled_from((surface_ring, threefold_ring)))()
+    rank = data.draw(st.integers(min_value=1, max_value=ring.cutoff + 2))
+    top = min(rank, ring.cutoff)
+    nonzero = st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction)
+    parts = [ring.one()]
+    for k in range(1, top + 1):
+        terms = data.draw(
+            st.dictionaries(
+                st.sampled_from(ring.basis_monomials(k)),
+                nonzero,
+                min_size=1,
+                max_size=3,
+            )
+        )
+        parts.append(RingElement(ring, terms))
+    total = sum(parts[1:], parts[0])
+    recovered = chern_from_character(character_from_chern(total, rank), rank)
+    assert recovered == tuple(parts) + (ring.zero(),) * (rank - top)
 
 
 # --- integer kernel against the reference rewrite path ----------------------
