@@ -13,7 +13,6 @@ from .rings import (
     GradedRing,
     RingElement,
     RingMismatchError,
-    RewriteCapError,
     InputError,
     character_from_chern,
     chern_from_character,
@@ -66,7 +65,6 @@ __all__ = [
     "GradedRing",
     "RingElement",
     "RingMismatchError",
-    "RewriteCapError",
     "InputError",
     "character_from_chern",
     "chern_from_character",

@@ -32,7 +32,7 @@ from .frontend import (
     elaborate,
     parse_program,
 )
-from .rings import RewriteCapError, RingElement
+from .rings import RingElement
 from .scenegen import random_scene_text
 
 SCHEMA_VERSION = 1
@@ -139,8 +139,7 @@ def execute_scene(
 
     ``verify_all`` appends a relation and a pullback check for every
     parabolic bundle, positioned at its declaration.  A missing integral
-    or a rule set that never stops rewriting fails the scene at the
-    command that met it.
+    fails the scene at the command that met it.
     """
     commands = list(scene.commands)
     if verify_all:
@@ -156,7 +155,7 @@ def execute_scene(
                 entry = _run_compute(scene, command)
             else:
                 entry = _run_verify(scene, command)
-        except (MissingIntegralError, RewriteCapError) as exc:
+        except MissingIntegralError as exc:
             raise SceneError([Diagnostic("error", str(exc), *command.pos)]) from None
         if timings:
             entry["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)

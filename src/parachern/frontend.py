@@ -694,8 +694,6 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
         cap_coefficients(decl.chern)
         element = ring.zero()
         try:
-            # Normalizing a product fails here on a rule set that never
-            # stops rewriting.
             for term in decl.chern:
                 piece = ring.scalar(term.coeff)
                 for factor in term.factors:

@@ -2,13 +2,13 @@
 
 This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
-cutoff, normalized against a list of monomial substitution rules.
+cutoff, and taken modulo a list of homogeneous relations.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
 only at the API: in constructor input, scalar operands and the coefficients
 that `terms` and `sorted_terms` hand out.  Each ring memoizes the normal
-form of every monomial it meets, so rewriting runs once per monomial and
+form of every monomial it meets, so reduction runs once per monomial and
 ring rather than once per product.  Nothing here touches floating point.
 
 The Newton bridge between a total Chern class and a Chern character takes
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -35,16 +35,9 @@ NormalForm = tuple[Numerators, int]
 # The normal form of a monomial above the cutoff; never mutated.
 _ZERO_FORM: NormalForm = ({}, 1)
 
-# Rewrite passes allowed before normalization gives up.
-RULE_ITERATION_CAP = 1000
-
 
 class RingMismatchError(ValueError):
     """Two elements that live in different rings were combined."""
-
-
-class RewriteCapError(ValueError):
-    """Normalization failed to reach a fixpoint within the iteration cap."""
 
 
 class InputError(ValueError):
@@ -65,6 +58,12 @@ def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
     return spec
 
 
+def _over_common_denominator(coeffs: Mapping[Monomial, Fraction]) -> NormalForm:
+    """Integer numerators over the least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
+
+
 def _canonical(num: Numerators, den: int) -> NormalForm:
     """Drop zero numerators and divide out the common gcd with ``den``."""
     if 0 in num.values():
@@ -80,21 +79,22 @@ def _canonical(num: Numerators, den: int) -> NormalForm:
 
 class GradedRing:
     """Commutative polynomial ring over Q with graded generators, a degree
-    cutoff and monomial substitution rules.
+    cutoff and homogeneous relations.
 
     Terms of total degree above ``cutoff`` are identically zero.  Each rule
-    maps a monomial to a polynomial of the same degree; normalization
-    substitutes rules (in declaration order) until no monomial is divisible
-    by any rule's left side, bounded by ``RULE_ITERATION_CAP`` passes.  Rule
-    right sides are themselves reduced to a fixpoint at construction time,
-    so a non-terminating rule set is rejected when the ring is built.  A
-    malformed rule raises :class:`InputError` with the path
-    ``("rules", rule)``, or ``("rules", rule, term)`` for a term of the
-    wrong degree or with an unknown generator.
+    ``(lhs, rhs)`` equates a monomial and a polynomial of the same degree,
+    whichever side is the larger.  A malformed rule raises
+    :class:`InputError` with the path ``("rules", rule)``, or
+    ``("rules", rule, term)`` for a term of the wrong degree or with an
+    unknown generator.
 
-    Every rewrite pass is a linear map that fixes normal monomials, so the
-    normal form of a sum is the sum of the normal forms of its monomials.
-    The ring memoizes those per monomial on first use.
+    Normal forms come from exact row reduction of each degree's relation
+    matrix, the relations times every monomial of the complementary degree
+    (the Macaulay-matrix form of Buchberger's algorithm), with columns in
+    ``sort_key`` order.  Its pivot columns are the non-normal monomials, so
+    every rule set gives an associative ring and reduction always ends.
+    The ring memoizes each monomial's normal form on first use, one block
+    of the matrix at a time.
     """
 
     def __init__(
@@ -125,7 +125,8 @@ class GradedRing:
         # form is None for a normal monomial.  Entries only ever get added,
         # and two threads filling the same entry store equal values.
         self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
-        self._rules: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
+        # One row lhs - rhs per relation; empty if the sides cancel.
+        self._relations: list[dict[Monomial, Fraction]] = []
 
         def rule_monomial(spec: MonoSpec, *at: int) -> Monomial:
             try:
@@ -140,29 +141,15 @@ class GradedRing:
                     "rule left side must be a non-constant monomial", "rules", idx
                 )
             lhs_degree = self.monomial_degree(lhs)
-            rhs: dict[Monomial, Fraction] = {}
+            row = {lhs: Fraction(1)}
             for term, (coeff, mono_spec) in enumerate(rhs_terms):
                 mono = rule_monomial(mono_spec, idx, term)
                 if self.monomial_degree(mono) != lhs_degree:
                     raise InputError(
                         "relation is not degree-homogeneous", "rules", idx, term
                     )
-                value = Fraction(coeff)
-                if value:
-                    rhs[mono] = rhs.get(mono, Fraction(0)) + value
-            self._rules.append((lhs, {m: c for m, c in rhs.items() if c}))
-        # Reduce every right side to a fixpoint under the full rule list;
-        # a cyclic rule set fails here instead of at first use.
-        for idx, (lhs, rhs) in enumerate(self._rules):
-            try:
-                reduced = self._normalize(dict(rhs))
-            except RewriteCapError:
-                raise InputError(
-                    "rule right side does not normalize within the iteration cap",
-                    "rules",
-                    idx,
-                ) from None
-            self._rules[idx] = (lhs, reduced)
+                row[mono] = row.get(mono, 0) - Fraction(coeff)
+            self._relations.append({m: c for m, c in row.items() if c})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -197,7 +184,7 @@ class GradedRing:
         return "*".join(parts)
 
     def basis_monomials(self, degree: int) -> list[Monomial]:
-        """All monomials of the given total degree that no rule rewrites."""
+        """All normal monomials of the given total degree."""
         if degree < 0 or degree > self.cutoff:
             return []
         out: list[Monomial] = []
@@ -207,7 +194,7 @@ class GradedRing:
             if i == n:
                 if remaining == 0:
                     mono = tuple(acc)
-                    if self._matching_rule(mono) is None:
+                    if self._entry(mono)[1] is None:
                         out.append(mono)
                 return
             step = self._degrees[i]
@@ -236,43 +223,6 @@ class GradedRing:
         mono = self.monomial({name: 1})
         return RingElement(self, {mono: 1})
 
-    def _matching_rule(self, mono: Monomial):
-        for lhs, rhs in self._rules:
-            if all(m >= l for m, l in zip(mono, lhs)):
-                return lhs, rhs
-        return None
-
-    def _normalize(self, raw: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        current: dict[Monomial, Fraction] = {}
-        for mono, coeff in raw.items():
-            if not coeff or self.monomial_degree(mono) > self.cutoff:
-                continue
-            current[mono] = current.get(mono, Fraction(0)) + coeff
-        current = {m: c for m, c in current.items() if c}
-        if not self._rules:
-            return current
-        for _ in range(RULE_ITERATION_CAP):
-            rewritten = False
-            nxt: dict[Monomial, Fraction] = {}
-            for mono, coeff in current.items():
-                match = self._matching_rule(mono)
-                if match is None:
-                    nxt[mono] = nxt.get(mono, Fraction(0)) + coeff
-                    continue
-                rewritten = True
-                lhs, rhs = match
-                quot = tuple(m - l for m, l in zip(mono, lhs))
-                for rmono, rcoeff in rhs.items():
-                    prod = tuple(q + e for q, e in zip(quot, rmono))
-                    if self.monomial_degree(prod) <= self.cutoff:
-                        nxt[prod] = nxt.get(prod, Fraction(0)) + coeff * rcoeff
-            current = {m: c for m, c in nxt.items() if c}
-            if not rewritten:
-                return current
-        raise RewriteCapError(
-            f"normalization did not stabilize within {RULE_ITERATION_CAP} passes"
-        )
-
     def _entry(self, mono: Monomial) -> tuple[int, Optional[NormalForm]]:
         """Degree and normal form of a monomial; the form is None when the
         monomial is normal and at or below the cutoff.  Fills the memo on
@@ -283,15 +233,60 @@ class GradedRing:
         degree = self.monomial_degree(mono)
         if degree > self.cutoff:
             return degree, _ZERO_FORM
-        if self._matching_rule(mono) is None:
-            entry = (degree, None)
-        else:
-            form = self._normalize({mono: Fraction(1)})
-            den = lcm(*(c.denominator for c in form.values()))
-            num = {m: c.numerator * (den // c.denominator) for m, c in form.items()}
-            entry = (degree, (num, den))
-        self._memo[mono] = entry
-        return entry
+        if not self._relations:
+            self._memo[mono] = entry = (degree, None)
+            return entry
+        self._memo.update(self._reduce_block(mono, degree))
+        return self._memo[mono]
+
+    def _reduce_block(
+        self, mono: Monomial, degree: int
+    ) -> dict[Monomial, tuple[int, Optional[NormalForm]]]:
+        """Memo entries for every column of the block of the degree-``degree``
+        relation matrix that holds ``mono``: the rows q * relation linked to
+        ``mono`` through shared monomials.  The matrix is block-diagonal, so
+        the block alone gives the pivots and normal forms of its columns.
+        """
+        columns = [mono]
+        entries = {mono: (degree, None)}
+        rows: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
+        for column in columns:  # grows while it is read
+            for index, relation in enumerate(self._relations):
+                for term in relation:
+                    quotient = tuple(map(sub, column, term))
+                    if min(quotient) < 0 or (index, quotient) in rows:
+                        continue
+                    row = {tuple(map(add, quotient, t)): c for t, c in relation.items()}
+                    rows[index, quotient] = row
+                    for t in row:
+                        if t not in entries:
+                            entries[t] = (degree, None)
+                            columns.append(t)
+        # Echelon form: a row's leader is its largest exponent tuple, first
+        # in ``sort_key`` order within a degree; no two pivots share one.
+        pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
+        for row in rows.values():
+            while row:
+                leader = max(row)
+                scale = row[leader]
+                if leader not in pivots:
+                    pivots[leader] = {t: c / scale for t, c in row.items()}
+                    break
+                for t, c in pivots[leader].items():
+                    row[t] = row.get(t, 0) - scale * c
+                row = {t: c for t, c in row.items() if c}
+        # Back-substitution from the smallest leader up: a pivot row's tail
+        # holds smaller monomials only, whose normal forms are then known.
+        forms: dict[Monomial, dict[Monomial, Fraction]] = {}
+        for leader in sorted(pivots):
+            form: dict[Monomial, Fraction] = {}
+            for t, c in pivots[leader].items():
+                if t != leader:
+                    for u, d in forms.get(t, {t: 1}).items():
+                        form[u] = form.get(u, 0) - c * d
+            forms[leader] = form = {u: d for u, d in form.items() if d}
+            entries[leader] = (degree, _over_common_denominator(form))
+        return entries
 
     def _expand(self, num: Numerators, den: int, pending: Numerators) -> NormalForm:
         """Canonical form of (num + normal forms of the pending monomials)
@@ -320,7 +315,8 @@ class GradedRing:
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self._names, self._degrees))
-        return f"GradedRing([{gens}], cutoff={self.cutoff}, rules={len(self._rules)})"
+        count = len(self._relations)
+        return f"GradedRing([{gens}], cutoff={self.cutoff}, relations={count})"
 
 
 class _Terms(Mapping):
@@ -359,9 +355,9 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Rational]):
-        coeffs = {mono: Fraction(coeff) for mono, coeff in terms.items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        num, den = _over_common_denominator(
+            {mono: Fraction(coeff) for mono, coeff in terms.items()}
+        )
         self._set(ring, *ring._rewrite(num, den))
 
     def _set(self, ring: GradedRing, num: Numerators, den: int):

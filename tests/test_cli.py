@@ -111,8 +111,9 @@ def test_missing_integral_names_monomial(tmp_path):
     assert diag["line"] >= 1 and diag["column"] >= 1
 
 
-# Both right sides are normal, so the ring builds; then A*B*D rewrites to
-# A*C*D and back to A*B*D without end.
+# Read as rewrite rules in the order written, A*B -> A*C and C*D -> B*D
+# would turn A*B*D into A*C*D and back without end.  Read in degree-lex
+# order, B*D leads its relation, so B*D -> C*D and A*B*D -> A*C*D.
 REWRITE_CYCLE = (
     "variety X dim 3;\n"
     "divisor A, B, C, D;\n"
@@ -123,32 +124,58 @@ REWRITE_CYCLE = (
 
 
 @pytest.mark.parametrize(
-    "text, verify_all, position",
+    "text, verify_all, classes",
     [
-        (REWRITE_CYCLE + "compute chern E;\n", False, (6, 1)),
-        # Appended checks are positioned at the bundle's declaration.
-        (REWRITE_CYCLE, True, (5, 1)),
-        # A Chern class is normalized while the scene is elaborated.
         (
-            REWRITE_CYCLE.replace(
-                "parabolic", "bundle V rank 3 chern 1 + A*B*D;\nparabolic"
-            ),
+            REWRITE_CYCLE + "compute chern E;\n",
             False,
-            (5, 1),
+            [
+                "1",
+                "1/2*A + 1/2*B + 1/2*D",
+                "1/4*A*C + 1/4*A*D + 1/4*C*D",
+                "1/8*A*C*D",
+            ],
+        ),
+        (REWRITE_CYCLE, True, None),
+        # A Chern class is reduced while the scene is elaborated.
+        (
+            REWRITE_CYCLE
+            + "bundle V rank 3 chern 1 + A*B*D;\n"
+            + "parabolic F = V{};\n"
+            + "compute chern F;\n",
+            False,
+            ["1", "0", "0", "A*C*D"],
         ),
     ],
+    ids=["compute", "verify_all", "chern_class"],
 )
-def test_rewrite_cycle_is_a_positioned_semantic_error(text, verify_all, position):
+def test_rewrite_cycle_scene_is_valid(text, verify_all, classes):
     report = evaluate_text(text, "cycle.pch", verify_all=verify_all)
-    assert report["exit_code"] == 3
-    assert report["diagnostics"] == [
-        {
-            "severity": "error",
-            "message": "normalization did not stabilize within 1000 passes",
-            "line": position[0],
-            "column": position[1],
-        }
-    ]
+    assert report["exit_code"] == 0
+    assert report["status"] == "ok"
+    assert all(entry.get("passed", True) for entry in report["results"])
+    computed = [e["classes"] for e in report["results"] if "classes" in e]
+    assert computed == ([classes] if classes else [])
+
+
+# Substituted in the order written, the relations would give (a*a)*b = b^3
+# but a*(a*b) = a*c^2, and prop1's Whitney and tensor identities would fail.
+NON_CONFLUENT = (
+    "variety X dim 3;\n"
+    "divisor a, b, c;\n"
+    "relation a*b = c^2;\n"
+    "relation a^2 = b^2;\n"
+    "parabolic E = O{a:1/2} (+) O{b:1/3};\n"
+    "parabolic F = O{a:1/3} (+) O{c:1/2};\n"
+    "verify prop1 E F;\n"
+)
+
+
+def test_non_confluent_relations_pass_prop1():
+    report = evaluate_text(NON_CONFLUENT, "nc.pch", verify_all=True)
+    assert report["exit_code"] == 0
+    assert report["results"][0]["command"] == "verify prop1"
+    assert all(entry["passed"] for entry in report["results"])
 
 
 def test_unreadable_file():
