@@ -4,7 +4,8 @@
 A surface with one divisor carries the rank-2 weighted sum of trivial lines
 with weights 1/3 and 2/3.  The script prints the cover order, the character,
 the Chern classes downstairs and upstairs, the normalized relation classes,
-and the verification results.
+and the verification results.  The last line reads the classes back off the
+relation with the test oracle in ``tests/proj_bundle_oracle.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from parachern import (  # noqa: E402
     ChowDescription,
@@ -21,11 +24,11 @@ from parachern import (  # noqa: E402
     build_variety,
     chern_character,
     relation_classes,
-    solve_from_relation,
     trivial_line,
     verify_cover_pullback,
     verify_relation,
 )
+from proj_bundle_oracle import solve_from_relation  # noqa: E402
 
 
 def main() -> int:
@@ -44,8 +47,7 @@ def main() -> int:
     print(f"chern classes        : {[str(c) for c in E.classes]}")
     print(f"relation classes     : {[str(c) for c in relation_classes(E)]}")
 
-    _, upstairs = E.cover
-    print(f"cover bundle classes : {[str(c) for c in upstairs]}")
+    print(f"cover bundle classes : {[str(c) for c in E.cover_classes]}")
 
     check = verify_relation(E)
     relation = "PASS" if check.passed else [str(c) for c in check.residual]

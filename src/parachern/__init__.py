@@ -42,7 +42,6 @@ from .bundles import (
 from .grothendieck import (
     PairIdentityChecks,
     RelationCheck,
-    solve_from_relation,
     verify_cover_pullback,
     verify_pair_identities,
     verify_relation,
@@ -88,7 +87,6 @@ __all__ = [
     "trivial_line",
     "PairIdentityChecks",
     "RelationCheck",
-    "solve_from_relation",
     "verify_cover_pullback",
     "verify_pair_identities",
     "verify_relation",

@@ -6,9 +6,14 @@ component.  An ordinary bundle class is entered as a total Chern class and
 stored as its Chern character.  Each bundle derives its data lazily and at
 most once, as properties: ``order`` (the cover order), ``character`` and
 ``classes``, all on the base; and, for the verifiers only, ``cover``, the
-cover of minimal order with the induced bundle's classes.  Pullback to the
-cover is a ring isomorphism, so the base classes equal the cover classes
-carried back down, and the verifiers compare the two.
+cover of minimal order with the character of the bundle induced on it.
+
+Pullback to the cover is a graded ring isomorphism that commutes with the
+Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
+decides whether the base classes pull back to the cover classes; both
+verifiers report it.  The cover classes themselves, ``cover_classes``, are
+derived only when a verifier needs them: for the residual of a failed
+identity, or to test explicitly given classes.
 """
 
 from __future__ import annotations
@@ -150,11 +155,24 @@ class ParabolicBundle:
         return chern_from_character(self.character, self.rank)
 
     @cached_property
-    def cover(self) -> tuple[CoverModel, tuple[RingElement, ...]]:
-        """The cover of minimal order and the Chern classes c_0..c_rank of
-        the bundle induced on it; only the verifiers need these."""
+    def cover(self) -> tuple[CoverModel, RingElement]:
+        """The cover of minimal order and the character of the bundle
+        induced on it; only the verifiers need these."""
         cm = make_cover(self.variety, self.order)
-        return cm, chern_from_character(cover_bundle(self, cm).character, self.rank)
+        return cm, cover_bundle(self, cm).character
+
+    @cached_property
+    def pulls_back_to_cover(self) -> bool:
+        """The cover identity: the base character pulls back to the cover
+        character.  Both verifiers report it."""
+        cm, character = self.cover
+        return cm.pullback(self.character) == character
+
+    @cached_property
+    def cover_classes(self) -> tuple[RingElement, ...]:
+        """Chern classes u_0..u_rank of the bundle induced on the cover;
+        only a failed identity or explicitly given classes need these."""
+        return chern_from_character(self.cover[1], self.rank)
 
 
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:

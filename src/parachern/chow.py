@@ -5,8 +5,7 @@ extra graded generators, homogeneous monomial relations, a dimension cutoff
 and an optional integration table for top-degree monomials.  A cover of
 order N is the same ring with every divisor generator renamed and rescaled:
 transporting a class upstairs multiplies each term by N^e, where e is its
-total divisor exponent, and transporting it back down divides by the same
-factor.  The two maps are exact mutual inverses.
+total divisor exponent.  This pullback is a graded ring isomorphism.
 """
 
 from __future__ import annotations
@@ -197,21 +196,6 @@ class CoverModel:
         n = self._n_divisors
         num = {mono: c * self.order ** sum(mono[:n]) for mono, c in a._num.items()}
         return RingElement._from_numerators(self.cover_ring, num, a._den)
-
-    def pushdown(self, b: RingElement) -> RingElement:
-        """Inverse of :meth:`pullback`: scale each term by order^(-e)."""
-        if b.ring is not self.cover_ring:
-            raise RingMismatchError("element does not belong to the cover ring")
-        n = self._n_divisors
-        exponents = {mono: sum(mono[:n]) for mono in b._num}
-        top = max(exponents.values(), default=0)
-        num = {
-            mono: c * self.order ** (top - exponents[mono])
-            for mono, c in b._num.items()
-        }
-        return RingElement._from_numerators(
-            self.base.ring, num, b._den * self.order**top
-        )
 
 
 def make_cover(variety: Variety, order: int) -> CoverModel:

@@ -4,7 +4,11 @@ The Chow ring of the cover bundle's projective bundle, as a free module
 over the cover ring on 1, h, ..., h^(r-1) with the generic product and the
 reduction h^r = sum_i (-1)^(i-1) u_i h^(r-i).  The library evaluates the
 reduced relation in closed form; the tests compare it with the module
-arithmetic here.
+arithmetic here.  The oracle also carries cover classes back down to the
+base (:func:`pushdown`), which no command needs, and reads the Chern
+classes off the relation in two ways: from the cover classes directly
+(:func:`solve_from_relation`) and from the reduction of h^rank
+(:func:`read_off`).
 """
 
 from __future__ import annotations
@@ -13,7 +17,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from parachern.bundles import ParabolicBundle
+from parachern.chow import CoverModel
 from parachern.rings import GradedRing, RingElement, RingMismatchError
+
+
+def pushdown(cm: CoverModel, b: RingElement) -> RingElement:
+    """Inverse of ``cm.pullback``: scale each term by order^(-e), with e
+    its total divisor exponent."""
+    if b.ring is not cm.cover_ring:
+        raise RingMismatchError("element does not belong to the cover ring")
+    n = len(cm.base.description.divisor_names)
+    return RingElement(
+        cm.base.ring,
+        {mono: c / cm.order ** sum(mono[:n]) for mono, c in b.terms.items()},
+    )
 
 
 class ProjBundleRing:
@@ -160,8 +177,7 @@ class ProjBundleElement:
 
 def bundle_ring(E: ParabolicBundle) -> ProjBundleRing:
     """The projective bundle ring on the cover classes of ``E``."""
-    cm, upstairs = E.cover
-    return ProjBundleRing(cm.cover_ring, upstairs[1:])
+    return ProjBundleRing(E.cover[0].cover_ring, E.cover_classes[1:])
 
 
 def relation_residual(
@@ -170,7 +186,7 @@ def relation_residual(
     """sum_i (-1)^i (order * h)^(rank-i) * pullback(classes[i]) by module
     products, as its coefficients in the basis 1, h, ..., h^(rank-1)."""
     n, r = E.order, E.rank
-    cm, _ = E.cover
+    cm = E.cover[0]
     proj = bundle_ring(E)
     acc = proj.zero()
     for i, cls in enumerate(classes):
@@ -179,13 +195,21 @@ def relation_residual(
     return acc.coeffs
 
 
+def solve_from_relation(E: ParabolicBundle) -> tuple[RingElement, ...]:
+    """The Chern classes read off the relation: the reduction of h^rank
+    has the cover classes u_i as its coefficients (up to sign), and the
+    cover carries them back down."""
+    cm = E.cover[0]
+    return (E.variety.ring.one(), *(pushdown(cm, u) for u in E.cover_classes[1:]))
+
+
 def read_off(E: ParabolicBundle) -> tuple[RingElement, ...]:
     """The classes read off the reduction of h^rank: the h^(rank-i)
     coefficients with alternating signs, carried down the cover."""
     r = E.rank
-    cm, _ = E.cover
+    cm = E.cover[0]
     reduced = bundle_ring(E).h_power(r)
     out = [E.variety.ring.one()]
     for i in range(1, r + 1):
-        out.append(cm.pushdown(reduced.coeffs[r - i] * ((-1) ** (i - 1))))
+        out.append(pushdown(cm, reduced.coeffs[r - i] * ((-1) ** (i - 1))))
     return tuple(out)

@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from parachern import grothendieck
+from parachern import bundles
+from parachern.bundles import OrdinaryBundleClass
 from parachern.cli import evaluate_text, run
 from parachern.scenegen import random_scene_text
 
@@ -202,25 +203,26 @@ def test_non_positive_max_denominator_rejected(tmp_path, cap):
 
 
 def test_verification_failure_exit_code(tmp_path, monkeypatch):
-    # Corrupt the normalized classes via a test hook: the relation check
-    # must fail with a reported residual and exit code 1.
-    from parachern.bundles import relation_classes as real_relation_classes
+    # Corrupt the cover character via a test hook: both cover checks must
+    # fail with exit code 1, and the relation check must report a residual.
+    true_cover_bundle = bundles.cover_bundle
 
-    def corrupted(bundle):
-        classes = real_relation_classes(bundle)
-        classes[1] = classes[1] + bundle.variety.ring.generator("D1")
-        return classes
+    def corrupted(E, cm):
+        good = true_cover_bundle(E, cm)
+        ch = good.character + cm.divisor("D1")
+        return OrdinaryBundleClass._from_character(good.rank, ch)
 
-    monkeypatch.setattr(grothendieck, "relation_classes", corrupted)
+    monkeypatch.setattr(bundles, "cover_bundle", corrupted)
     scene = tmp_path / "worked.pch"
-    scene.write_text(WORKED + " verify grothendieck E;")
+    scene.write_text(WORKED + " verify grothendieck E; verify corollary1 E;")
     code, out, _ = run_capture([str(scene), "--json"])
     report = json.loads(out)
     assert code == 1
     assert report["status"] == "verification_failed"
-    entry = report["results"][1]
-    assert entry["passed"] is False
-    assert entry["residual"] is not None
+    relation, pullback = report["results"][1:]
+    assert relation["passed"] is False
+    assert any(c != "0" for c in relation["residual"])
+    assert pullback["passed"] is False
 
 
 def test_timings_flag(tmp_path):

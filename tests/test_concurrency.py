@@ -7,13 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from parachern.grothendieck import (
-    solve_from_relation,
-    verify_cover_pullback,
-    verify_relation,
-)
+from parachern.grothendieck import verify_cover_pullback, verify_relation
 from parachern.rings import RingElement
 from parachern.scenegen import random_elaborated_scene
+from proj_bundle_oracle import solve_from_relation
 
 
 def _bundles(seeds):

@@ -2,12 +2,13 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from parachern import bundles, chow, grothendieck
+from parachern import bundles, chow, grothendieck, rings
 from parachern.chow import ChowDescription, build_variety, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
@@ -19,7 +20,6 @@ from parachern.bundles import (
 )
 from parachern.cli import evaluate_text, execute_scene
 from parachern.grothendieck import (
-    solve_from_relation,
     verify_cover_pullback,
     verify_pair_identities,
     verify_relation,
@@ -31,6 +31,7 @@ from proj_bundle_oracle import (
     ProjBundleRing,
     read_off,
     relation_residual,
+    solve_from_relation,
 )
 
 
@@ -169,12 +170,14 @@ def test_relation_rejects_wrong_length(surface):
         verify_relation(E, [surface.ring.one()])
 
 
-def _random_class(rng, ring):
-    """A nonzero element of ``ring``: up to three basis monomials of any
-    degree with small nonzero rational coefficients."""
+def _random_class(rng, ring, low=0, high=None):
+    """A nonzero element of ``ring``: up to three basis monomials of degrees
+    ``low`` to ``high`` (default: the cutoff) with small nonzero rational
+    coefficients."""
+    high = ring.cutoff if high is None else high
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        mono = rng.choice(ring.basis_monomials(rng.randint(0, ring.cutoff)))
+        mono = rng.choice(ring.basis_monomials(rng.randint(low, high)))
         terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
     return RingElement(ring, terms)
 
@@ -202,6 +205,62 @@ def test_closed_form_matches_module_oracle(seed, rank_max, rng):
         assert check.passed == all(c.is_zero for c in check.residual)
 
 
+def _with_cover_shift(E, shift):
+    """A fresh copy of ``E`` whose cover character is off by ``shift(cm)``."""
+    true_cover_bundle = bundles.cover_bundle
+
+    def shifted(F, cm):
+        good = true_cover_bundle(F, cm)
+        ch = good.character + shift(cm)
+        return OrdinaryBundleClass._from_character(good.rank, ch)
+
+    F = ParabolicBundle(E.variety, E.summands)
+    with mock.patch.object(bundles, "cover_bundle", shifted):
+        F.cover
+    return F
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=6),
+    st.randoms(use_true_random=False),
+)
+def test_cover_identity_decides_the_class_identity(seed, rank_max, rng):
+    # The cached character identity must agree with comparing the classes
+    # themselves, for the true cover character and for one off by a random
+    # class in a degree the classes see; a failing relation check must
+    # report the module oracle's residual.
+    scene = random_elaborated_scene(random.Random(seed), rank_max=rank_max)
+    for E in scene.parabolics.values():
+        top = min(E.rank, E.ring.cutoff)
+        shifted = _with_cover_shift(
+            E, lambda cm: _random_class(rng, cm.cover_ring, 1, top)
+        )
+        for F, holds in ((E, True), (shifted, False)):
+            cm = F.cover[0]
+            classes_agree = all(
+                cm.pullback(c) == u for c, u in zip(F.classes, F.cover_classes)
+            )
+            assert F.pulls_back_to_cover == classes_agree == holds
+            assert verify_cover_pullback(F) == holds
+            check = verify_relation(F)
+            assert check.passed == holds
+            assert check.residual == relation_residual(F, relation_classes(F))
+
+
+def test_cover_identity_is_stricter_than_the_classes(surface):
+    # A cover character off in a degree above the rank is not that of any
+    # line bundle: the rank-1 classes still agree, but both checks fail.
+    L = ParabolicBundle(surface, ((trivial_line(surface.ring), {"D1": Fraction(1, 2)}),))
+    F = _with_cover_shift(L, lambda cm: cm.divisor("D1") ** 2)
+    cm = F.cover[0]
+    assert all(cm.pullback(c) == u for c, u in zip(F.classes, F.cover_classes))
+    assert not verify_cover_pullback(F)
+    check = verify_relation(F)
+    assert not check.passed
+    assert all(c.is_zero for c in check.residual)
+
+
 def _high_rank_bundle(variety, rank):
     ring = variety.ring
     d1 = ring.generator("D1")
@@ -217,21 +276,22 @@ def _high_rank_bundle(variety, rank):
 
 def test_relation_check_sums_do_not_grow_with_rank(surface, monkeypatch):
     # Only the cover classes up to the dimension are nonzero, so with the
-    # cover and the classes derived, the check needs as many ring sums at
-    # rank 400 as at rank 100.
+    # cover classes derived, evaluating the residual of explicit classes
+    # needs as many ring sums at rank 400 as at rank 100.
     high_rank = [_high_rank_bundle(surface, rank) for rank in (100, 400)]
+    classes = [relation_classes(E) for E in high_rank]
     for E in high_rank:
-        E.cover, E.classes
+        E.cover_classes
     sums = [
         _count_calls(monkeypatch, (RingElement,), name)
         for name in ("__add__", "__radd__")
     ]
     counts = []
-    for E in high_rank:
+    for E, given_classes in zip(high_rank, classes):
         before = sum(map(len, sums))
-        assert verify_relation(E).passed
+        assert verify_relation(E, given_classes).passed
         counts.append(sum(map(len, sums)) - before)
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_rank_2000_relation_scene():
@@ -399,6 +459,27 @@ def test_cover_is_built_once(surface, monkeypatch):
         assert verify_cover_pullback(E)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "make_cover": 1,
+        "cover_bundle": 1,
+    }
+
+
+def test_passing_cover_checks_skip_the_newton_bridge(surface, monkeypatch):
+    # A passing relation check and a passing pullback check decide one
+    # character identity: no Chern classes are derived on either side, and
+    # the cover bundle is built once.
+    counts = {
+        "chern_from_character": _count_calls(
+            monkeypatch, (rings, bundles, grothendieck), "chern_from_character"
+        ),
+        "cover_bundle": _count_calls(
+            monkeypatch, (bundles, grothendieck), "cover_bundle"
+        ),
+    }
+    E = worked_example(surface)
+    assert verify_relation(E).passed
+    assert verify_cover_pullback(E)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "chern_from_character": 0,
         "cover_bundle": 1,
     }
 

