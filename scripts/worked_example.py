@@ -19,9 +19,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from parachern import (  # noqa: E402
-    ChowDescription,
     ParabolicBundle,
-    build_variety,
+    Variety,
     chern_character,
     relation_classes,
     trivial_line,
@@ -32,7 +31,7 @@ from proj_bundle_oracle import solve_from_relation  # noqa: E402
 
 
 def main() -> int:
-    X = build_variety(ChowDescription("X", 2, ("D1",)))
+    X = Variety(2, ("D1",))
     ring = X.ring
     E = ParabolicBundle(
         X,

@@ -19,12 +19,9 @@ from .rings import (
     exp_nilpotent,
 )
 from .chow import (
-    ChowDescription,
     CoverModel,
     MissingIntegralError,
     Variety,
-    build_ring,
-    build_variety,
     integrate,
     make_cover,
 )
@@ -68,12 +65,9 @@ __all__ = [
     "character_from_chern",
     "chern_from_character",
     "exp_nilpotent",
-    "ChowDescription",
     "CoverModel",
     "MissingIntegralError",
     "Variety",
-    "build_ring",
-    "build_variety",
     "integrate",
     "make_cover",
     "OrdinaryBundleClass",

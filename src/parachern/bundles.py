@@ -2,11 +2,12 @@
 
 A parabolic bundle here is a finite direct sum of summands, each an
 ordinary bundle class together with a rational weight in [0, 1) per divisor
-component.  An ordinary bundle class is entered as a total Chern class and
-stored as its Chern character.  Each bundle derives its data lazily and at
-most once, as properties: ``order`` (the cover order), ``character`` and
-``classes``, all on the base; and, for the verifiers only, ``cover``, the
-cover of minimal order with the character of the bundle induced on it.
+component, named as in the variety's ``divisors``.  An ordinary bundle
+class is entered as a total Chern class and stored as its Chern character.
+Each bundle derives its data lazily and at most once, as properties:
+``order`` (the cover order), ``character`` and ``classes``, all on the
+base; and, for the verifiers only, ``cover``, the cover of minimal order
+with the character of the bundle induced on it.
 
 Pullback to the cover is a graded ring isomorphism that commutes with the
 Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
@@ -95,9 +96,7 @@ class ParabolicBundle:
     def __post_init__(self):
         if not self.summands:
             raise ValueError("a parabolic bundle needs at least one summand")
-        divisor_order = {
-            name: i for i, name in enumerate(self.variety.description.divisor_names)
-        }
+        divisor_order = {name: i for i, name in enumerate(self.variety.divisors)}
         canonical: list[Summand] = []
         for index, (bundle, weights) in enumerate(self.summands):
             if bundle.ring is not self.variety.ring:

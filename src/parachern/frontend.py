@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
-from .chow import ChowDescription, Variety, build_variety
+from .chow import Variety
 from .rings import InputError
 
 # Command kinds by action, each with the number of names it takes.
@@ -582,7 +582,8 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
     # name -> (statement index, kind); kinds: variety, divisor, class,
     # bundle, parabolic.  The trivial line bundle precedes every statement.
     names: dict[str, tuple[int, str]] = {TRIVIAL: (-1, "bundle")}
-    divisors: list[str] = []
+    # (name, declaration) per divisor, in the order of the ring's generators.
+    divisors: list[tuple[str, DivisorDecl]] = []
     class_decls: list[ClassDecl] = []
     relation_decls: list[RelationDecl] = []
     integral_decls: list[IntegralDecl] = []
@@ -624,7 +625,7 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
         elif isinstance(stmt, DivisorDecl):
             for name in stmt.names:
                 declare(name, index, "divisor", stmt.pos)
-                divisors.append(name)
+                divisors.append((name, stmt))
         elif isinstance(stmt, ClassDecl):
             declare(stmt.name, index, "class", stmt.pos)
             class_decls.append(stmt)
@@ -658,31 +659,28 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
     for decl in relation_decls:
         cap_coefficients(decl.rhs)
     try:
-        description = ChowDescription(
-            variety_decl.name,
+        variety = Variety(
             variety_decl.dim,
-            tuple(divisors),
-            tuple((decl.name, decl.degree) for decl in class_decls),
-            tuple(
+            [name for name, _ in divisors],
+            [(decl.name, decl.degree) for decl in class_decls],
+            [
                 (
                     _factors(decl.lhs),
-                    tuple((term.coeff, _factors(term.factors)) for term in decl.rhs),
+                    [(term.coeff, _factors(term.factors)) for term in decl.rhs],
                 )
                 for decl in relation_decls
-            ),
-            tuple((_factors(decl.mono), decl.value) for decl in integral_decls),
+            ],
+            [(_factors(decl.mono), decl.value) for decl in integral_decls],
         )
-        variety = build_variety(description)
     except InputError as exc:
         field_name, index, *term = exc.path
         node = {
-            "extra_generators": class_decls,
+            "generators": [decl for _, decl in divisors] + class_decls,
             "integrals": integral_decls,
             "rules": relation_decls,
         }[field_name][index]
         if term:
-            # Rule terms are counted after zero-coefficient terms are dropped.
-            node = [t for t in node.rhs if t.coeff][term[0]]
+            node = node.rhs[term[0]]
         _fail(str(exc), node.pos)
     except ValueError as exc:
         _fail(str(exc), variety_decl.pos)

@@ -2,7 +2,10 @@
 
 This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
-cutoff, and taken modulo a list of homogeneous relations.
+cutoff, and taken modulo a list of homogeneous relations.  A ring is the
+one presentation of a variety's relations, held as rows lhs - rhs over
+exponent tuples, and it makes every check on generators and rules; the
+formal cover is built from the same rows.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
@@ -28,6 +31,8 @@ from typing import Iterable, Optional, Sequence, Union
 Monomial = tuple[int, ...]
 Rational = Union[int, Fraction]
 MonoSpec = Union[Mapping[str, int], Iterable[tuple[str, int]]]
+# A rule: a monomial and the (coefficient, monomial) terms it equals.
+RuleSpec = tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]
 # Integer numerators over one positive denominator.
 Numerators = dict[Monomial, int]
 NormalForm = tuple[Numerators, int]
@@ -83,10 +88,12 @@ class GradedRing:
 
     Terms of total degree above ``cutoff`` are identically zero.  Each rule
     ``(lhs, rhs)`` equates a monomial and a polynomial of the same degree,
-    whichever side is the larger.  A malformed rule raises
-    :class:`InputError` with the path ``("rules", rule)``, or
-    ``("rules", rule, term)`` for a term of the wrong degree or with an
-    unknown generator.
+    whichever side is the larger; terms with coefficient zero are skipped.
+    A bad generator raises :class:`InputError` with the path
+    ``("generators", index)``.  A malformed rule raises it with the path
+    ``("rules", rule)``, or ``("rules", rule, term)``, terms counted as
+    written, for a term of the wrong degree or with an unknown generator.
+    A rule above the cutoff holds identically and keeps no row.
 
     Normal forms come from exact row reduction of each degree's relation
     matrix, the relations times every monomial of the complementary degree
@@ -101,17 +108,18 @@ class GradedRing:
         self,
         generators: Sequence[tuple[str, int]],
         cutoff: int,
-        rules: Sequence[tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]] = (),
+        rules: Sequence[RuleSpec] = (),
     ):
         names = []
         degrees = []
-        for name, degree in generators:
+        for index, (name, degree) in enumerate(generators):
+            at = ("generators", index)
             if not isinstance(name, str) or not name:
-                raise ValueError("generator names must be non-empty strings")
+                raise InputError("generator names must be non-empty strings", *at)
             if name in names:
-                raise ValueError(f"duplicate generator name {name!r}")
+                raise InputError(f"duplicate generator name {name!r}", *at)
             if int(degree) < 1:
-                raise ValueError(f"generator {name!r} must have degree >= 1")
+                raise InputError("class degree must be at least 1", *at)
             names.append(name)
             degrees.append(int(degree))
         if int(cutoff) < 1:
@@ -125,7 +133,8 @@ class GradedRing:
         # form is None for a normal monomial.  Entries only ever get added,
         # and two threads filling the same entry store equal values.
         self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
-        # One row lhs - rhs per relation; empty if the sides cancel.
+        # One row lhs - rhs per relation at or below the cutoff whose sides
+        # do not cancel; a relation above the cutoff holds identically.
         self._relations: list[dict[Monomial, Fraction]] = []
 
         def rule_monomial(spec: MonoSpec, *at: int) -> Monomial:
@@ -143,13 +152,28 @@ class GradedRing:
             lhs_degree = self.monomial_degree(lhs)
             row = {lhs: Fraction(1)}
             for term, (coeff, mono_spec) in enumerate(rhs_terms):
+                coeff = Fraction(coeff)
+                if not coeff:
+                    continue
                 mono = rule_monomial(mono_spec, idx, term)
                 if self.monomial_degree(mono) != lhs_degree:
                     raise InputError(
                         "relation is not degree-homogeneous", "rules", idx, term
                     )
-                row[mono] = row.get(mono, 0) - Fraction(coeff)
-            self._relations.append({m: c for m, c in row.items() if c})
+                row[mono] = row.get(mono, 0) - coeff
+            row = {m: c for m, c in row.items() if c}
+            if row and lhs_degree <= self.cutoff:
+                self._relations.append(row)
+
+    @classmethod
+    def _from_relations(
+        cls, generators, cutoff: int, relations: list[dict[Monomial, Fraction]]
+    ) -> GradedRing:
+        """A ring with relation rows already in this class's form; the rows
+        are not re-checked."""
+        ring = cls(generators, cutoff)
+        ring._relations = relations
+        return ring
 
     @property
     def names(self) -> tuple[str, ...]:

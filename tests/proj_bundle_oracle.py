@@ -26,7 +26,7 @@ def pushdown(cm: CoverModel, b: RingElement) -> RingElement:
     its total divisor exponent."""
     if b.ring is not cm.cover_ring:
         raise RingMismatchError("element does not belong to the cover ring")
-    n = len(cm.base.description.divisor_names)
+    n = len(cm.base.divisors)
     return RingElement(
         cm.base.ring,
         {mono: c / cm.order ** sum(mono[:n]) for mono, c in b.terms.items()},

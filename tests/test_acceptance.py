@@ -61,10 +61,10 @@ def sweep_bundles():
 
 def test_criterion_1_worked_example():
     started = time.perf_counter()
-    from parachern.chow import ChowDescription, build_variety
+    from parachern.chow import Variety
     from parachern.bundles import trivial_line
 
-    X = build_variety(ChowDescription("X", 2, ("D1",)))
+    X = Variety(2, ("D1",))
     ring = X.ring
     d1 = ring.generator("D1")
     E = ParabolicBundle(
@@ -94,7 +94,7 @@ def test_criterion_2_relation_sweep(sweep_bundles):
     started = time.perf_counter()
     for E in sweep_bundles:
         assert E.rank <= 4
-        assert len(E.variety.description.divisor_names) <= 3
+        assert len(E.variety.divisors) <= 3
         assert E.variety.dim <= 3
         for _, weights in E.summands:
             for _, w in weights:

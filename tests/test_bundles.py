@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from parachern.chow import ChowDescription, build_variety, integrate, make_cover
+from parachern.chow import Variety, integrate, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
@@ -23,19 +23,17 @@ from proj_bundle_oracle import pushdown
 
 @pytest.fixture(scope="module")
 def surface():
-    return build_variety(ChowDescription("X", 2, ("D1",)))
+    return Variety(2, ("D1",))
 
 
 @pytest.fixture(scope="module")
 def two_divisor_surface():
-    return build_variety(
-        ChowDescription("S", 2, ("D1", "D2"), relations=(({"D1": 1, "D2": 1}, ()),))
-    )
+    return Variety(2, ("D1", "D2"), relations=(({"D1": 1, "D2": 1}, ()),))
 
 
 @pytest.fixture(scope="module")
 def curve():
-    return build_variety(ChowDescription("C", 1, ("p",), integrals={(("p", 1),): 1}))
+    return Variety(1, ("p",), integrals={(("p", 1),): 1})
 
 
 def worked_example(surface):
@@ -97,7 +95,7 @@ def test_cover_order(surface):
     ring = surface.ring
     plain = ParabolicBundle(surface, ((trivial_line(ring), {}),))
     assert plain.order == 1
-    Y = build_variety(ChowDescription("Y", 2, ("D1", "D2")))
+    Y = Variety(2, ("D1", "D2"))
     F = ParabolicBundle(
         Y,
         ((trivial_line(Y.ring), {"D1": Fraction(1, 2), "D2": Fraction(1, 3)}),),
@@ -111,7 +109,7 @@ def test_direct_sum(surface):
     assert both.rank == 4
     assert len(both.summands) == 4
     with pytest.raises(ValueError):
-        direct_sum(E, worked_example(build_variety(ChowDescription("Z", 2, ("D1",)))))
+        direct_sum(E, worked_example(Variety(2, ("D1",))))
 
 
 # --- dual and tensor ---------------------------------------------------------
@@ -337,7 +335,7 @@ def random_bundle(draw, variety):
 
 @given(st.data())
 def test_two_path_character_consistency(data):
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     cm = make_cover(variety, E.order)
     assert pushdown(cm, cover_bundle(E, cm).character) == E.character
@@ -347,7 +345,7 @@ def test_two_path_character_consistency(data):
 def test_base_classes_equal_cover_classes(data, k):
     # The base-path classes rest on pullback being a ring isomorphism: they
     # must equal the cover bundle's classes carried down any compatible cover.
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
     for G in (E, dual(E), tensor(E, F), direct_sum(E, F)):
@@ -358,7 +356,7 @@ def test_base_classes_equal_cover_classes(data, k):
 
 @given(st.data())
 def test_big_n_dual_and_sum(data):
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
     assert dual(E).order == E.order
@@ -368,7 +366,7 @@ def test_big_n_dual_and_sum(data):
 
 @given(st.data())
 def test_dual_negates_odd_classes(data):
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     cd = dual(E).classes
     cc = E.classes
@@ -378,7 +376,7 @@ def test_dual_negates_odd_classes(data):
 
 @given(st.data())
 def test_tensor_multiplies_characters(data):
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
     assert tensor(E, F).character == E.character * F.character
@@ -389,7 +387,7 @@ def test_derived_characters_round_trip_through_the_constructor(data):
     # dual, tensor and cover_bundle store a derived character unchecked; the
     # classes read off it must pass the public constructor's checks and give
     # that character back.
-    variety = build_variety(ChowDescription("X", 2, ("D1",)))
+    variety = Variety(2, ("D1",))
     E = data.draw(random_bundle(variety))
     F = data.draw(random_bundle(variety))
     built = [

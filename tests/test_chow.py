@@ -4,71 +4,95 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from parachern.chow import (
-    ChowDescription,
-    MissingIntegralError,
-    build_ring,
-    build_variety,
-    integrate,
-    make_cover,
-)
+from parachern.chow import MissingIntegralError, Variety, integrate, make_cover
 from parachern.rings import InputError, RingElement, RingMismatchError
 from proj_bundle_oracle import pushdown
 
 
 def surface():
-    return build_variety(
-        ChowDescription(
-            "S",
-            2,
-            ("D1", "D2"),
-            extra_generators=(("H", 1),),
-            relations=(({"D1": 1, "D2": 1}, ()),),
-            integrals={(("D1", 2),): Fraction(1)},
-        )
+    return Variety(
+        2,
+        ("D1", "D2"),
+        classes=(("H", 1),),
+        relations=(({"D1": 1, "D2": 1}, ()),),
+        integrals={(("D1", 2),): Fraction(1)},
     )
 
 
 def curve():
-    return build_variety(
-        ChowDescription("C", 1, ("p",), integrals={(("p", 1),): 1})
+    return Variety(1, ("p",), integrals={(("p", 1),): 1})
+
+
+def mixed_exponents():
+    # One relation whose terms have divisor exponents 2, 1 and 0.
+    return Variety(
+        2,
+        ("D1", "D2"),
+        classes=(("H", 1),),
+        relations=[({"D1": 2}, [(2, {"D1": 1, "H": 1}), (1, {"H": 2})])],
     )
 
 
-def test_build_ring_shapes():
-    ring = build_ring(ChowDescription("C", 1, ("p",)))
-    assert ring.names == ("p",)
-    assert ring.cutoff == 1
+def square_is_class():
+    # A divisor square equals a degree-2 class.
+    return Variety(
+        3,
+        ("D1", "D2"),
+        classes=(("H", 1), ("K", 2)),
+        relations=[({"D1": 2}, [(1, {"K": 1})])],
+    )
+
+
+def leader_on_right():
+    # The degree-lex leader D1*D2 is written on the right.
+    return Variety(
+        2,
+        ("D1", "D2"),
+        classes=(("H", 1),),
+        relations=[({"H": 2}, [(3, {"D1": 1, "D2": 1}), (-1, {"D2": 2})])],
+    )
+
+
+COVER_VARIETIES = [surface, mixed_exponents, square_is_class, leader_on_right]
+
+
+def test_variety_ring_shapes():
+    c = Variety(1, ("p",))
+    assert c.ring.names == ("p",)
+    assert c.ring.cutoff == c.dim == 1
+    assert c.divisors == ("p",)
 
     surf = surface()
+    assert surf.ring.names == ("D1", "D2", "H")
     d1, d2 = surf.ring.generator("D1"), surf.ring.generator("D2")
     assert (d1 * d2).is_zero
 
-    plain = build_ring(ChowDescription("X", 2, ("D1",)))
+    plain = Variety(2, ("D1",)).ring
     monos = [plain.basis_monomials(k) for k in range(3)]
     assert [len(m) for m in monos] == [1, 1, 1]
 
 
-def test_description_validation():
+def test_variety_validation():
     with pytest.raises(ValueError, match="variety dimension must be at least 1"):
-        ChowDescription("X", 0, ("D1",))
+        Variety(0, ("D1",))
+    # Generator checks are the ring's, indexed over divisors then classes.
     with pytest.raises(InputError) as err:
-        ChowDescription("X", 2, ("D1", "D1"))
-    assert err.value.path == ("divisor_names", 1)
+        Variety(2, ("D1", "D1"))
+    assert str(err.value) == "duplicate generator name 'D1'"
+    assert err.value.path == ("generators", 1)
     with pytest.raises(InputError) as err:
-        ChowDescription("X", 2, ("D1",), (("H", 1), ("K", 0)))
+        Variety(2, ("D1",), (("H", 1), ("K", 0)))
     assert str(err.value) == "class degree must be at least 1"
-    assert err.value.path == ("extra_generators", 1)
+    assert err.value.path == ("generators", 2)
     with pytest.raises(InputError) as err:
-        ChowDescription("X", 2, ("D1",), integrals={(("D1", 1),): 1})
+        Variety(2, ("D1",), integrals={(("D1", 1),): 1})
     assert str(err.value) == "integral monomial must have degree 2"
     assert err.value.path == ("integrals", 0)
     with pytest.raises(ValueError, match="duplicate integral for monomial D1\\^2"):
-        ChowDescription("X", 2, ("D1",), integrals=[({"D1": 2}, 1), ({"D1": 2}, 2)])
+        Variety(2, ("D1",), integrals=[({"D1": 2}, 1), ({"D1": 2}, 2)])
     # Factor pairs add up, and the message shows the monomial as written.
     with pytest.raises(InputError) as err:
-        ChowDescription(
-            "X",
+        Variety(
             2,
             ("D1", "D2"),
             integrals=[([("D1", 2)], 1), ([("D1", 1), ("D2", 0), ("D1", 1)], 2)],
@@ -76,27 +100,26 @@ def test_description_validation():
     assert str(err.value) == "duplicate integral for monomial D1*D2^0*D1"
     assert err.value.path == ("integrals", 1)
     with pytest.raises(InputError) as err:
-        ChowDescription("X", 2, ("D1",), integrals=[({"D9": 2}, 1)])
+        Variety(2, ("D1",), integrals=[({"D9": 2}, 1)])
     assert str(err.value) == "unknown generator 'D9'"
     assert err.value.path == ("integrals", 0)
+    table = Variety(2, ("D1",), integrals=[({"D1": 2}, Fraction(-1, 2))])
+    assert table.integral_table == {(2,): Fraction(-1, 2)}
 
 
 def test_relation_with_unknown_generator():
     with pytest.raises(InputError) as err:
-        build_ring(ChowDescription("X", 2, ("D1",), relations=[({"D9": 2}, ())]))
+        Variety(2, ("D1",), relations=[({"D9": 2}, ())])
     assert str(err.value) == "unknown generator 'D9'"
     assert err.value.path == ("rules", 0)
     with pytest.raises(InputError) as err:
-        build_ring(
-            ChowDescription(
-                "X",
-                2,
-                ("D1", "D2"),
-                relations=[
-                    ({"D2": 2}, ()),
-                    ({"D1": 2}, [(1, {"D1": 1, "D2": 1}), (2, {"D9": 2})]),
-                ],
-            )
+        Variety(
+            2,
+            ("D1", "D2"),
+            relations=[
+                ({"D2": 2}, ()),
+                ({"D1": 2}, [(1, {"D1": 1, "D2": 1}), (2, {"D9": 2})]),
+            ],
         )
     assert str(err.value) == "unknown generator 'D9'"
     assert err.value.path == ("rules", 1, 1)
@@ -108,6 +131,29 @@ def test_make_cover_transports_relations():
     t1, t2 = cm.divisor("D1"), cm.divisor("D2")
     assert (t1 * t2).is_zero
     assert cm.cover_ring.names == ("~D1", "~D2", "H")
+
+
+def test_make_cover_transports_mixed_relations():
+    cm = make_cover(mixed_exponents(), 3)
+    t1, h = cm.divisor("D1"), cm.cover_ring.generator("H")
+    assert 9 * t1 ** 2 == 6 * t1 * h + h ** 2
+    cm = make_cover(square_is_class(), 2)
+    assert 4 * cm.divisor("D1") ** 2 == cm.cover_ring.generator("K")
+    cm = make_cover(leader_on_right(), 2)
+    t1, t2 = cm.divisor("D1"), cm.divisor("D2")
+    h = cm.cover_ring.generator("H")
+    assert h ** 2 == 12 * t1 * t2 - 4 * t2 ** 2
+
+
+def test_relation_above_the_cutoff_keeps_no_row():
+    # D^e = 0 holds identically for e above the cutoff, so neither the ring
+    # nor its cover keeps a row for it, and the cover never forms 2^e.
+    variety = Variety(2, ("D",), relations=[({"D": 10 ** 12}, [(0, {})])])
+    assert variety.ring._relations == []
+    cm = make_cover(variety, 2)
+    assert cm.cover_ring._relations == []
+    d = variety.ring.generator("D")
+    assert cm.pullback(d ** 2) == 4 * cm.divisor("D") ** 2
 
 
 def test_make_cover_order_one_is_renaming():
@@ -124,7 +170,7 @@ def test_make_cover_rejects_zero():
 
 
 def test_pullback_scaling():
-    plain = build_variety(ChowDescription("X", 2, ("D1",)))
+    plain = Variety(2, ("D1",))
     cm = make_cover(plain, 3)
     d1 = plain.ring.generator("D1")
     t = cm.divisor("D1")
@@ -134,14 +180,14 @@ def test_pullback_scaling():
 
 
 def test_pushdown_scaling():
-    plain = build_variety(ChowDescription("X", 2, ("D1",)))
+    plain = Variety(2, ("D1",))
     cm = make_cover(plain, 3)
     d1 = plain.ring.generator("D1")
     t = cm.divisor("D1")
     assert pushdown(cm, 3 * t) == d1
     assert pushdown(cm, 2 * t ** 2) == Fraction(2, 9) * d1 ** 2
 
-    two = build_variety(ChowDescription("Y", 2, ("D1", "D2")))
+    two = Variety(2, ("D1", "D2"))
     cm2 = make_cover(two, 2)
     s = cm2.divisor("D1") + cm2.divisor("D2")
     assert pushdown(cm2, s) == (
@@ -180,9 +226,9 @@ def cover_elements(variety):
 
 @given(st.data(), st.integers(min_value=1, max_value=6))
 def test_pullback_pushdown_inverse(data, order):
-    surf = surface()
-    cm = make_cover(surf, order)
-    a = data.draw(cover_elements(surf))
+    variety = data.draw(st.sampled_from(COVER_VARIETIES))()
+    cm = make_cover(variety, order)
+    a = data.draw(cover_elements(variety))
     up = cm.pullback(a)
     assert pushdown(cm, up) == a
     assert cm.pullback(pushdown(cm, up)) == up
@@ -190,9 +236,9 @@ def test_pullback_pushdown_inverse(data, order):
 
 @given(st.data(), st.integers(min_value=1, max_value=6))
 def test_pullback_is_ring_homomorphism(data, order):
-    surf = surface()
-    cm = make_cover(surf, order)
-    strat = cover_elements(surf)
+    variety = data.draw(st.sampled_from(COVER_VARIETIES))()
+    cm = make_cover(variety, order)
+    strat = cover_elements(variety)
     a, b = data.draw(strat), data.draw(strat)
     assert cm.pullback(a + b) == cm.pullback(a) + cm.pullback(b)
     assert cm.pullback(a * b) == cm.pullback(a) * cm.pullback(b)

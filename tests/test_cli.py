@@ -179,6 +179,19 @@ def test_non_confluent_relations_pass_prop1():
     assert all(entry["passed"] for entry in report["results"])
 
 
+def test_relation_above_the_cutoff_does_not_stall_verification():
+    # The relation holds identically; the cover must not scale it by 2^e.
+    text = (
+        "variety X dim 2;\n"
+        "divisor D;\n"
+        "relation D^1000000000000 = 0;\n"
+        "parabolic E = O{D:1/2};\n"
+    )
+    report = evaluate_text(text, "huge.pch", verify_all=True)
+    assert report["exit_code"] == 0
+    assert [e["passed"] for e in report["results"]] == [True, True]
+
+
 def test_unreadable_file():
     code, _, err = run_capture(["/nonexistent/nowhere.pch"])
     assert code == 3

@@ -178,7 +178,7 @@ def test_negative_integral():
 
 def test_elaborate_worked_scene():
     scene = elaborate(parse_program(WORKED))
-    assert scene.variety.description.dim == 2
+    assert scene.variety.dim == 2
     E = scene.parabolics["E"]
     assert E.rank == 2
     assert E.order == 3

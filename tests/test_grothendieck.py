@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from parachern import bundles, chow, grothendieck, rings
-from parachern.chow import ChowDescription, build_variety, make_cover
+from parachern.chow import Variety, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
@@ -37,12 +37,12 @@ from proj_bundle_oracle import (
 
 @pytest.fixture(scope="module")
 def surface():
-    return build_variety(ChowDescription("X", 2, ("D1",)))
+    return Variety(2, ("D1",))
 
 
 @pytest.fixture(scope="module")
 def curve():
-    return build_variety(ChowDescription("C", 1, ("p",)))
+    return Variety(1, ("p",))
 
 
 def worked_example(surface):
@@ -104,7 +104,7 @@ def test_embed_requires_base_ring(surface):
         proj.embed(surface.ring.one())
 
 
-_PROJ_VARIETY = build_variety(ChowDescription("X", 2, ("D1",)))
+_PROJ_VARIETY = Variety(2, ("D1",))
 _PROJ_COVER = make_cover(_PROJ_VARIETY, 3)
 _PROJ_RING = ProjBundleRing(
     _PROJ_COVER.cover_ring,
@@ -335,7 +335,7 @@ def test_solve_weightless(surface):
 
 
 def test_solve_rank_one_curve():
-    curve = build_variety(ChowDescription("C", 1, ("p",)))
+    curve = Variety(1, ("p",))
     L = ParabolicBundle(curve, ((trivial_line(curve.ring), {"p": Fraction(1, 2)}),))
     p = curve.ring.generator("p")
     assert solve_from_relation(L) == (curve.ring.one(), p / 2)
@@ -400,7 +400,7 @@ def test_pair_identities_unit_laws(surface):
 
 
 def test_pair_identities_require_same_variety(surface):
-    other = build_variety(ChowDescription("Z", 2, ("D1",)))
+    other = Variety(2, ("D1",))
     E = worked_example(surface)
     F = worked_example(other)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from parachern.chow import ChowDescription, build_variety, make_cover
+from parachern.chow import Variety, make_cover
 from parachern.rings import (
     GradedRing,
     RingElement,
@@ -43,10 +43,9 @@ def chain_ring():
     )
 
 
-def deep_description():
+def deep_variety():
     # The shape of the large generated scenes: dim 5, four divisors and H.
-    return ChowDescription(
-        "Y",
+    return Variety(
         5,
         ("D1", "D2", "D3", "D4"),
         (("H", 1),),
@@ -55,7 +54,7 @@ def deep_description():
 
 
 def deep_ring():
-    return build_variety(deep_description()).ring
+    return deep_variety().ring
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +133,31 @@ def test_rule_must_be_homogeneous():
             ],
         )
     assert err.value.path == ("rules", 0, 1)
+
+
+def test_generator_checks():
+    with pytest.raises(InputError) as err:
+        GradedRing([("A", 1), ("B", 2), ("A", 1)], cutoff=2)
+    assert str(err.value) == "duplicate generator name 'A'"
+    assert err.value.path == ("generators", 2)
+    with pytest.raises(InputError) as err:
+        GradedRing([("A", 1), ("B", 0)], cutoff=2)
+    assert str(err.value) == "class degree must be at least 1"
+    assert err.value.path == ("generators", 1)
+    with pytest.raises(InputError) as err:
+        GradedRing([("A", 1), ("", 1)], cutoff=2)
+    assert err.value.path == ("generators", 1)
+
+
+def test_zero_coefficient_terms_are_skipped():
+    # 0*D2 and 0 have the wrong degree but no weight: the rule is D1*D2 = 0.
+    ring = GradedRing(
+        [("D1", 1), ("D2", 1)],
+        cutoff=2,
+        rules=[({"D1": 1, "D2": 1}, [(0, {"D2": 1}), (0, {})])],
+    )
+    assert (ring.generator("D1") * ring.generator("D2")).is_zero
+    assert ring.basis_monomials(2) == [(2, 0), (0, 2)]
 
 
 def test_cyclic_rules_build():
@@ -558,9 +582,9 @@ def test_kernel_matches_reference_rewrite(make_ring, data):
 
 @given(data=st.data())
 def test_cover_transport_matches_reference(data):
-    variety = build_variety(deep_description())
+    variety = deep_variety()
     cm = make_cover(variety, 6)
-    n = len(variety.description.divisor_names)
+    n = len(variety.divisors)
     raw = data.draw(raw_terms(variety.ring))
     x = RingElement(variety.ring, raw)
     up = cm.pullback(x)
