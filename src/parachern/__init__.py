@@ -17,6 +17,7 @@ from .rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
+    format_terms,
 )
 from .chow import (
     CoverModel,
@@ -65,6 +66,7 @@ __all__ = [
     "character_from_chern",
     "chern_from_character",
     "exp_nilpotent",
+    "format_terms",
     "CoverModel",
     "MissingIntegralError",
     "Variety",

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .chow import CoverModel, Variety, make_cover
+from .chow import COVER_PREFIX, CoverModel, Variety, make_cover
 from .rings import (
     GradedRing,
     InputError,
@@ -142,9 +142,7 @@ class ParabolicBundle:
         ring = self.ring
         acc = ring.zero()
         for bundle, weights in self.summands:
-            twist = ring.zero()
-            for name, w in weights:
-                twist = twist + w * ring.generator(name)
+            twist = ring.element((w, {name: 1}) for name, w in weights)
             acc = acc + bundle.character * exp_nilpotent(twist)
         return acc
 
@@ -182,12 +180,9 @@ def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
 
 def _conjugate_character(ch: RingElement) -> RingElement:
     # Negating every Chern root flips the sign of the odd graded parts.
-    ring = ch.ring
-    acc = ring.zero()
-    for k in range(ring.cutoff + 1):
-        part = ch.graded_part(k)
-        acc = acc + (part if k % 2 == 0 else -part)
-    return acc
+    degree = ch.ring.monomial_degree
+    num = {m: -c if degree(m) % 2 else c for m, c in ch._num.items()}
+    return RingElement._make(ch.ring, num, ch._den)
 
 
 def dual(E: ParabolicBundle) -> ParabolicBundle:
@@ -196,11 +191,8 @@ def dual(E: ParabolicBundle) -> ParabolicBundle:
     ring = E.ring
     out = []
     for bundle, weights in E.summands:
-        twist = ring.zero()
-        new_weights = {}
-        for name, w in weights:
-            new_weights[name] = 1 - w
-            twist = twist - ring.generator(name)
+        new_weights = {name: 1 - w for name, w in weights}
+        twist = ring.element((-1, {name: 1}) for name in new_weights)
         ch = _conjugate_character(bundle.character) * exp_nilpotent(twist)
         out.append((OrdinaryBundleClass._from_character(bundle.rank, ch), new_weights))
     return ParabolicBundle(E.variety, tuple(out))
@@ -217,15 +209,16 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
         map_v = dict(wv)
         for bw, ww in F.summands:
             map_w = dict(ww)
-            twist = ring.zero()
+            wrapped = []
             weights = {}
             for name in set(map_v) | set(map_w):
                 s = map_v.get(name, Fraction(0)) + map_w.get(name, Fraction(0))
                 if s >= 1:
                     s -= 1
-                    twist = twist + ring.generator(name)
+                    wrapped.append((1, {name: 1}))
                 if s:
                     weights[name] = s
+            twist = ring.element(wrapped)
             ch = bv.character * bw.character * exp_nilpotent(twist)
             bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
             out.append((bundle, weights))
@@ -246,10 +239,7 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
     ru = cm.cover_ring
     total = ru.zero()
     for bundle, weights in E.summands:
-        twist = ru.zero()
-        for name, w in weights:
-            m = w * cm.order
-            twist = twist + int(m) * cm.divisor(name)
+        twist = ru.element((cm.order * w, {COVER_PREFIX + n: 1}) for n, w in weights)
         total = total + cm.pullback(bundle.character) * exp_nilpotent(twist)
     return OrdinaryBundleClass._from_character(E.rank, total)
 

@@ -23,6 +23,7 @@ from .rings import (
     RingElement,
     RingMismatchError,
     RuleSpec,
+    format_terms,
 )
 
 COVER_PREFIX = "~"
@@ -46,8 +47,10 @@ class Variety:
     ring makes every generator and rule check.  ``integrals`` maps
     top-degree monomials, each a {name: exponent} mapping or a sequence of
     (name, exponent) factors with repeated names adding up, to exact
-    rationals, one value per monomial.  A failed integral check raises
-    :class:`InputError` with the path ``("integrals", index)``.
+    rationals, one value per monomial.  Each such monomial must be normal:
+    one that a relation rewrites or kills would give the degree functional
+    two values.  A failed integral check raises :class:`InputError` with
+    the path ``("integrals", index)``.
     """
 
     ring: GradedRing
@@ -71,23 +74,23 @@ class Variety:
         table: dict[Monomial, Fraction] = {}
         items = integrals.items() if isinstance(integrals, Mapping) else integrals
         for index, (spec, value) in enumerate(items):
+            at = ("integrals", index)
             factors = list(spec.items() if isinstance(spec, Mapping) else spec)
             try:
                 mono = ring.monomial(factors)
             except KeyError as exc:
-                raise InputError(exc.args[0], "integrals", index) from None
+                raise InputError(exc.args[0], *at) from None
             if ring.monomial_degree(mono) != ring.cutoff:
-                raise InputError(
-                    f"integral monomial must have degree {ring.cutoff}",
-                    "integrals",
-                    index,
-                )
+                message = f"integral monomial must have degree {ring.cutoff}"
+                raise InputError(message, *at)
+            # The monomial as written, e.g. D1*D1 for a repeated D1^2.
+            named = format_terms([(1, factors)])
+            reduced = ring.element([(1, factors)])
+            if list(reduced.terms) != [mono]:
+                message = f"integral monomial {named} is not normal; it reduces to"
+                raise InputError(f"{message} {reduced}", *at)
             if mono in table:
-                # The monomial as written, e.g. D1*D1 for a repeated D1^2.
-                named = "*".join(n if e == 1 else f"{n}^{e}" for n, e in factors)
-                raise InputError(
-                    f"duplicate integral for monomial {named}", "integrals", index
-                )
+                raise InputError(f"duplicate integral for monomial {named}", *at)
             table[mono] = Fraction(value)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "divisors", divisors)
@@ -106,7 +109,8 @@ def integrate(variety: Variety, a: RingElement) -> Fraction:
     total = Fraction(0)
     for mono, coeff in a.graded_part(variety.dim).sorted_terms():
         if mono not in variety.integral_table:
-            raise MissingIntegralError(variety.ring.format_monomial(mono))
+            factors = variety.ring._factors(mono)
+            raise MissingIntegralError(format_terms([(1, factors)]))
         total += coeff * variety.integral_table[mono]
     return total
 

@@ -32,7 +32,7 @@ from .frontend import (
     elaborate,
     parse_program,
 )
-from .rings import RingElement
+from .rings import format_terms
 from .scenegen import random_scene_text
 
 SCHEMA_VERSION = 1
@@ -43,31 +43,13 @@ EXIT_PARSE_ERROR = 2
 EXIT_SEMANTIC_ERROR = 3
 
 
-def _class_strings(classes: Sequence[RingElement]) -> list[str]:
-    return [str(c) for c in classes]
-
-
-def _class_terms(element: RingElement) -> list[dict]:
-    ring = element.ring
-    out = []
-    for mono, coeff in element.sorted_terms():
-        named = [
-            [name, exp] for name, exp in zip(ring.names, mono) if exp > 0
-        ]
-        out.append({"coefficient": str(coeff), "monomial": named})
-    return out
-
-
-def _ct_polynomial_string(classes: Sequence[RingElement]) -> str:
-    parts = []
-    for i, c in enumerate(classes):
-        if i == 0:
-            parts.append(str(c))
-            continue
-        if c.is_zero:
-            continue
-        power = "t" if i == 1 else f"t^{i}"
-        parts.append(f"({c})*{power}")
+def _ct_polynomial_string(classes: Sequence[str]) -> str:
+    """The Chern polynomial from the printed classes c_0..c_rank."""
+    parts = [classes[0]]
+    for i, c in enumerate(classes[1:], start=1):
+        if c != "0":
+            power = "t" if i == 1 else f"t^{i}"
+            parts.append(f"({c})*{power}")
     return " + ".join(parts)
 
 
@@ -80,20 +62,27 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
         "rank": bundle.rank,
         "cover_order": bundle.order,
     }
-    if command.kind == "chern":
+    if command.kind == "degree":
+        entry["value"] = str(integrate(scene.variety, bundle.character))
+        return entry
+    if command.kind in ("chern", "ctpoly"):
         classes = bundle.classes
     elif command.kind == "ch":
         classes = chern_character(bundle)
-    elif command.kind == "ctpoly":
-        classes = bundle.classes
-        entry["polynomial"] = _ct_polynomial_string(classes)
-    elif command.kind == "degree":
-        entry["value"] = str(integrate(scene.variety, bundle.character))
-        return entry
     else:
         raise ValueError(f"unknown compute kind {command.kind!r}")
-    entry["classes"] = _class_strings(classes)
-    entry["terms"] = [_class_terms(c) for c in classes]
+    named = [c.named_terms() for c in classes]
+    strings = [format_terms(terms) for terms in named]
+    if command.kind == "ctpoly":
+        entry["polynomial"] = _ct_polynomial_string(strings)
+    entry["classes"] = strings
+    entry["terms"] = [
+        [
+            {"coefficient": str(coeff), "monomial": [list(f) for f in factors]}
+            for coeff, factors in terms
+        ]
+        for terms in named
+    ]
     return entry
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import Variety
-from .rings import InputError
+from .rings import Factors, InputError, format_terms
 
 # Command kinds by action, each with the number of names it takes.
 COMMANDS = {
@@ -470,28 +470,12 @@ def parse_program(text: str) -> SceneAST:
 # Pretty printer
 
 
-def _format_mono(mono: MonoAST) -> str:
-    return "*".join(
-        f.name if f.exponent == 1 else f"{f.name}^{f.exponent}" for f in mono
-    )
+def _factors(mono: MonoAST) -> Factors:
+    return tuple((f.name, f.exponent) for f in mono)
 
 
-def _format_poly(poly: PolyAST) -> str:
-    parts = []
-    for term in poly:
-        magnitude = -term.coeff if term.coeff < 0 else term.coeff
-        mono_str = _format_mono(term.factors)
-        if not mono_str:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = mono_str
-        else:
-            body = f"{magnitude}*{mono_str}"
-        if not parts:
-            parts.append(body if term.coeff >= 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if term.coeff >= 0 else f"- {body}")
-    return " ".join(parts)
+def _named(poly: PolyAST) -> list[tuple[Fraction, Factors]]:
+    return [(term.coeff, _factors(term.factors)) for term in poly]
 
 
 def _format_summand(s: SummandAST) -> str:
@@ -510,15 +494,14 @@ def format_program(ast: SceneAST) -> str:
         elif isinstance(stmt, ClassDecl):
             lines.append(f"class {stmt.name} deg {stmt.degree};")
         elif isinstance(stmt, RelationDecl):
-            lines.append(
-                f"relation {_format_mono(stmt.lhs)} = {_format_poly(stmt.rhs)};"
-            )
+            lhs = format_terms([(1, _factors(stmt.lhs))])
+            lines.append(f"relation {lhs} = {format_terms(_named(stmt.rhs))};")
         elif isinstance(stmt, IntegralDecl):
-            lines.append(f"integral {_format_mono(stmt.mono)} = {stmt.value};")
+            mono = format_terms([(1, _factors(stmt.mono))])
+            lines.append(f"integral {mono} = {stmt.value};")
         elif isinstance(stmt, BundleDecl):
-            lines.append(
-                f"bundle {stmt.name} rank {stmt.rank} chern {_format_poly(stmt.chern)};"
-            )
+            chern = format_terms(_named(stmt.chern))
+            lines.append(f"bundle {stmt.name} rank {stmt.rank} chern {chern};")
         elif isinstance(stmt, ParabolicDecl):
             summands = " (+) ".join(_format_summand(s) for s in stmt.summands)
             lines.append(f"parabolic {stmt.name} = {summands};")
@@ -536,7 +519,6 @@ def format_program(ast: SceneAST) -> str:
 @dataclass
 class Scene:
     variety: Variety
-    bundles: dict[str, OrdinaryBundleClass]
     parabolics: dict[str, ParabolicBundle]
     commands: list[CommandDecl]
     # Where each parabolic bundle is declared.
@@ -557,10 +539,6 @@ _UNKNOWN = {
 
 # The reserved summand name of the trivial line bundle.
 TRIVIAL = "O"
-
-
-def _factors(mono: MonoAST) -> tuple[tuple[str, int], ...]:
-    return tuple((f.name, f.exponent) for f in mono)
 
 
 def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Scene:
@@ -664,10 +642,7 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
             [name for name, _ in divisors],
             [(decl.name, decl.degree) for decl in class_decls],
             [
-                (
-                    _factors(decl.lhs),
-                    [(term.coeff, _factors(term.factors)) for term in decl.rhs],
-                )
+                (_factors(decl.lhs), _named(decl.rhs))
                 for decl in relation_decls
             ],
             [(_factors(decl.mono), decl.value) for decl in integral_decls],
@@ -690,14 +665,9 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
     bundles: dict[str, OrdinaryBundleClass] = {}
     for decl in bundle_decls:
         cap_coefficients(decl.chern)
-        element = ring.zero()
         try:
-            for term in decl.chern:
-                piece = ring.scalar(term.coeff)
-                for factor in term.factors:
-                    piece = piece * ring.generator(factor.name) ** factor.exponent
-                element = element + piece
-            bundles[decl.name] = OrdinaryBundleClass(decl.rank, element)
+            chern = ring.element(_named(decl.chern))
+            bundles[decl.name] = OrdinaryBundleClass(decl.rank, chern)
         except ValueError as exc:
             _fail(str(exc), decl.pos)
 
@@ -722,4 +692,4 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
             _fail(str(exc), decl.pos)
 
     positions = {decl.name: decl.pos for decl in parabolic_decls}
-    return Scene(variety, bundles, parabolics, command_decls, positions)
+    return Scene(variety, parabolics, command_decls, positions)

@@ -9,10 +9,13 @@ formal cover is built from the same rows.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
-only at the API: in constructor input, scalar operands and the coefficients
-that `terms` and `sorted_terms` hand out.  Each ring memoizes the normal
-form of every monomial it meets, so reduction runs once per monomial and
-ring rather than once per product.  Nothing here touches floating point.
+only at the API: in constructor input, the coefficients `GradedRing.element`
+reads, scalar operands, and the coefficients that `terms`, `sorted_terms`
+and `named_terms` hand out.  Named terms, (coefficient, (name, exponent)
+factors) pairs, are read by `GradedRing.element` and printed by
+`format_terms`.  Each ring memoizes the normal form of every monomial it
+meets, so reduction runs once per monomial and ring rather than once per
+product.  Nothing here touches floating point.
 
 The Newton bridge between a total Chern class and a Chern character takes
 and returns whole elements and splits graded parts itself;
@@ -31,6 +34,8 @@ from typing import Iterable, Optional, Sequence, Union
 Monomial = tuple[int, ...]
 Rational = Union[int, Fraction]
 MonoSpec = Union[Mapping[str, int], Iterable[tuple[str, int]]]
+# A monomial by name: (generator, exponent) factors.
+Factors = tuple[tuple[str, int], ...]
 # A rule: a monomial and the (coefficient, monomial) terms it equals.
 RuleSpec = tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]
 # Integer numerators over one positive denominator.
@@ -198,14 +203,10 @@ class GradedRing:
         with higher exponents first."""
         return (self.monomial_degree(mono), tuple(-e for e in mono))
 
-    def format_monomial(self, mono: Monomial) -> str:
-        parts = []
-        for name, exp in zip(self._names, mono):
-            if exp == 1:
-                parts.append(name)
-            elif exp > 1:
-                parts.append(f"{name}^{exp}")
-        return "*".join(parts)
+    def _factors(self, mono: Monomial) -> Factors:
+        """The (name, exponent) factors of a monomial, zero exponents left
+        out."""
+        return tuple((name, exp) for name, exp in zip(self._names, mono) if exp)
 
     def basis_monomials(self, degree: int) -> list[Monomial]:
         """All normal monomials of the given total degree."""
@@ -244,8 +245,16 @@ class GradedRing:
         )
 
     def generator(self, name: str) -> RingElement:
-        mono = self.monomial({name: 1})
-        return RingElement(self, {mono: 1})
+        return self.element([(1, {name: 1})])
+
+    def element(self, terms: Iterable[tuple[Rational, MonoSpec]]) -> RingElement:
+        """The sum of (coefficient, monomial spec) terms, normalized once.
+        Repeated monomials add up; an unknown name raises ``KeyError``."""
+        coeffs: dict[Monomial, Fraction] = {}
+        for coeff, spec in terms:
+            mono = self.monomial(spec)
+            coeffs[mono] = coeffs.get(mono, 0) + Fraction(coeff)
+        return RingElement(self, coeffs)
 
     def _entry(self, mono: Monomial) -> tuple[int, Optional[NormalForm]]:
         """Degree and normal form of a monomial; the form is None when the
@@ -418,6 +427,12 @@ class RingElement:
             key=lambda kv: self.ring.sort_key(kv[0]),
         )
 
+    def named_terms(self) -> list[tuple[Fraction, Factors]]:
+        """(coefficient, (name, exponent) factors) pairs in ``sort_key``
+        order, as :func:`format_terms` prints them."""
+        factors = self.ring._factors
+        return [(coeff, factors(mono)) for mono, coeff in self.sorted_terms()]
+
     @property
     def is_zero(self) -> bool:
         return not self._num
@@ -543,26 +558,32 @@ class RingElement:
         return NotImplemented
 
     def __str__(self):
-        if not self._num:
-            return "0"
-        out = []
-        for mono, coeff in self.sorted_terms():
-            mono_str = self.ring.format_monomial(mono)
-            magnitude = -coeff if coeff < 0 else coeff
-            if not mono_str:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = mono_str
-            else:
-                body = f"{magnitude}*{mono_str}"
-            if not out:
-                out.append(body if coeff > 0 else f"-{body}")
-            else:
-                out.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(out)
+        return format_terms(self.named_terms())
 
     def __repr__(self):
         return f"RingElement({self})"
+
+
+def format_terms(terms: Iterable[tuple[Rational, Iterable[tuple[str, int]]]]) -> str:
+    """A polynomial from (coefficient, (name, exponent) factors) terms, in
+    the given order: ``-1/2*D1^2 + D2 - 3``; ``0`` when there are none.
+    A non-constant term drops a unit coefficient, and every exponent other
+    than 1 is written, so factors print as entered."""
+    text = ""
+    for coeff, factors in terms:
+        mono = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in factors)
+        magnitude = abs(coeff)
+        if not mono:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = mono
+        else:
+            body = f"{magnitude}*{mono}"
+        if text:
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+    return text or "0"
 
 
 def exp_nilpotent(a: RingElement) -> RingElement:

@@ -107,6 +107,41 @@ def test_variety_validation():
     assert table.integral_table == {(2,): Fraction(-1, 2)}
 
 
+def test_integral_monomial_must_be_normal():
+    # D1^2 leads the relation D1^2 = D2^2, so only D2^2 may carry an integral.
+    square = ({"D1": 2}, [(1, {"D2": 2})])
+    with pytest.raises(InputError) as err:
+        Variety(2, ("D1", "D2"), relations=[square], integrals=[({"D1": 2}, 1)])
+    assert str(err.value) == "integral monomial D1^2 is not normal; it reduces to D2^2"
+    assert err.value.path == ("integrals", 0)
+    # A redundant declaration is rejected even when its value agrees, and
+    # the message shows the monomial as written.
+    with pytest.raises(InputError) as err:
+        Variety(
+            2,
+            ("D1", "D2"),
+            relations=[({"D1": 2}, [(Fraction(1, 2), {"D2": 2})])],
+            integrals=[({"D2": 2}, 2), ([("D1", 1), ("D1", 1)], 1)],
+        )
+    assert str(err.value) == (
+        "integral monomial D1*D1 is not normal; it reduces to 1/2*D2^2"
+    )
+    assert err.value.path == ("integrals", 1)
+    # A monomial that a relation kills reduces to 0.
+    with pytest.raises(InputError) as err:
+        Variety(
+            2,
+            ("D1", "D2"),
+            relations=[({"D1": 1, "D2": 1}, [])],
+            integrals=[({"D1": 2}, 1), ({"D1": 1, "D2": 1}, 0)],
+        )
+    assert str(err.value) == "integral monomial D1*D2 is not normal; it reduces to 0"
+    assert err.value.path == ("integrals", 1)
+    normal = Variety(2, ("D1", "D2"), relations=[square], integrals=[({"D2": 2}, 5)])
+    assert normal.integral_table == {(0, 2): 5}
+    assert integrate(normal, normal.ring.generator("D1") ** 2) == 5
+
+
 def test_relation_with_unknown_generator():
     with pytest.raises(InputError) as err:
         Variety(2, ("D1",), relations=[({"D9": 2}, ())])

@@ -112,6 +112,43 @@ def test_missing_integral_names_monomial(tmp_path):
     assert diag["line"] >= 1 and diag["column"] >= 1
 
 
+NON_NORMAL_INTEGRAL = (
+    "variety X dim 2;\n"
+    "divisor D1, D2;\n"
+    "relation D1^2 = D2^2;\n"
+    "integral D1^2 = 1;\n"
+    "parabolic E = O{D2:1/2};\n"
+    "compute degree E;\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        NON_NORMAL_INTEGRAL,
+        # With integrals on every monomial, D1^2 = D2^2 would still be
+        # integrated to two different values.
+        NON_NORMAL_INTEGRAL.replace(
+            "integral D1^2 = 1;\n",
+            "integral D1^2 = 1;\nintegral D2^2 = 5;\nintegral D1*D2 = 0;\n",
+        ),
+    ],
+    ids=["one_integral", "all_integrals"],
+)
+def test_non_normal_integral_is_rejected(text):
+    report = evaluate_text(text, "nonnormal.pch")
+    assert report["exit_code"] == 3
+    assert report["status"] == "semantic_error"
+    assert report["diagnostics"] == [
+        {
+            "severity": "error",
+            "message": "integral monomial D1^2 is not normal; it reduces to D2^2",
+            "line": 4,
+            "column": 1,
+        }
+    ]
+
+
 # Read as rewrite rules in the order written, A*B -> A*C and C*D -> B*D
 # would turn A*B*D into A*C*D and back without end.  Read in degree-lex
 # order, B*D leads its relation, so B*D -> C*D and A*B*D -> A*C*D.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from parachern.bundles import OrdinaryBundleClass, ParabolicBundle
 from parachern.cli import evaluate_text, run
 from parachern.frontend import (
     BundleDecl,
@@ -147,9 +148,14 @@ def test_print_round_trip_random():
 
 
 def test_print_round_trip_signs_and_rationals():
-    text = "variety X dim 2;\ndivisor D1;\nrelation D1^2 = 0;\nbundle V rank 2 chern 1 - 1/2*D1 + 0;\n"
-    ast = parse_program(text)
-    assert parse_program(format_program(ast)) == ast
+    for text in (
+        "variety X dim 2;\ndivisor D1;\nrelation D1^2 = 0;\n"
+        "bundle V rank 2 chern 1 - 1/2*D1 + 0;\n",
+        "variety X dim 2;\ndivisor D1;\nbundle V rank 1 chern 1 + 0*D1;\n",
+    ):
+        ast = parse_program(text)
+        assert format_program(ast) == text
+        assert parse_program(format_program(ast)) == ast
 
 
 NEGATIVE_INTEGRAL = (
@@ -183,6 +189,25 @@ def test_elaborate_worked_scene():
     assert E.rank == 2
     assert E.order == 3
     assert len(scene.commands) == 1
+
+
+def test_elaborate_chern_class_with_repeated_and_non_normal_monomials():
+    # D1*D2 leads the relation D1*D2 = H^2; D1^2*D2^2 lies above the cutoff.
+    text = (
+        "variety X dim 3; divisor D1, D2; class H deg 1; relation D1*D2 = H^2;"
+        "bundle V rank 3 chern 1 + D1 + 2*D1 - H + D1*D2 + 1/2*D2*D1 - D2^2"
+        " + D1*D1*H + 7*D1^2*D2^2;"
+        "parabolic F = V{D1:1/2};"
+    )
+    scene = elaborate(parse_program(text))
+    ring = scene.variety.ring
+    d1, d2, h = (ring.generator(n) for n in ("D1", "D2", "H"))
+    chern = 1 + 3 * d1 - h + Fraction(3, 2) * h ** 2 - d2 ** 2 + d1 ** 2 * h
+    by_hand = ParabolicBundle(
+        scene.variety, ((OrdinaryBundleClass(3, chern), {"D1": Fraction(1, 2)}),)
+    )
+    assert scene.parabolics["F"].classes == by_hand.classes
+    assert scene.parabolics["F"].character == by_hand.character
 
 
 def test_elaborate_weight_out_of_range():

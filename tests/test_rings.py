@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from parachern.bundles import _conjugate_character
 from parachern.chow import Variety, make_cover
 from parachern.rings import (
     GradedRing,
@@ -14,6 +15,7 @@ from parachern.rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
+    format_terms,
 )
 from proj_bundle_oracle import pushdown
 
@@ -112,6 +114,69 @@ def test_string_form(ring):
     d1, d2 = ring.generator("D1"), ring.generator("D2")
     assert str(ring.zero()) == "0"
     assert str(1 + d1 - Fraction(2, 9) * d2 ** 2) == "1 + D1 - 2/9*D2^2"
+
+
+# --- named terms: the reader and the printer ----------------------------------
+
+
+def test_element_reads_named_terms(ring):
+    d1, d2, h = (ring.generator(n) for n in ("D1", "D2", "H"))
+    assert ring.generator("H") == ring.element([(1, {"H": 1})])
+    # Repeated monomials add up, as mappings or as factor pairs.
+    repeated = ring.element(
+        [(1, {"D1": 1}), (Fraction(1, 2), [("D1", 1)]), (2, {"H": 2})]
+    )
+    assert repeated == Fraction(3, 2) * d1 + 2 * h ** 2
+    assert ring.element([(1, [("D1", 1), ("D2", 0), ("D1", 1)])]) == d1 ** 2
+    # Zero coefficients and cancelling terms vanish.
+    assert ring.element([(0, {"H": 1}), (3, {"D2": 1})]) == 3 * d2
+    cancelled = ring.element([(2, {"D1": 1}), (-2, {"D1": 1})])
+    assert cancelled.is_zero and cancelled._den == 1
+    assert ring.element([]).is_zero
+    # A monomial that a relation kills comes back reduced, and monomials
+    # above the cutoff drop.
+    assert ring.element([(5, {"D1": 1, "D2": 1}), (1, {"H": 1})]) == h
+    assert ring.element([(1, {"D1": 3}), (4, [("H", 1), ("H", 2)])]).is_zero
+    with pytest.raises(KeyError, match="unknown generator 'Q'"):
+        ring.element([(1, {"Q": 1})])
+
+
+def test_element_reduces_through_relations():
+    # A^2 = 2*B^2 and B^2 = 1/2*C^2, so A^2 + A*B reads back as C^2 + A*B.
+    ring = chain_ring()
+    a, b, c = (ring.generator(n) for n in ("A", "B", "C"))
+    x = ring.element([(1, {"A": 2}), (1, {"A": 1, "B": 1})])
+    assert x == c ** 2 + a * b
+    assert dict(x.terms) == {(0, 0, 2): 1, (1, 1, 0): 1}
+    assert_canonical(x)
+
+
+def test_named_terms_follow_sort_key(ring):
+    d1, d2, h = (ring.generator(n) for n in ("D1", "D2", "H"))
+    x = h * d2 - Fraction(2, 9) * d1 ** 2 + 3 + d2
+    assert x.named_terms() == [
+        (3, ()),
+        (1, (("D2", 1),)),
+        (Fraction(-2, 9), (("D1", 2),)),
+        (1, (("D2", 1), ("H", 1))),
+    ]
+    assert str(x) == format_terms(x.named_terms()) == "3 + D2 - 2/9*D1^2 + D2*H"
+    assert ring.zero().named_terms() == []
+
+
+def test_format_terms():
+    assert format_terms([]) == "0"
+    # A negative first term takes a bare minus sign; later ones a spaced one.
+    terms = [(Fraction(-1, 2), [("D1", 2)]), (1, [("D2", 1)]), (-3, [])]
+    assert format_terms(terms) == "-1/2*D1^2 + D2 - 3"
+    # Unit coefficients are dropped from monomials but kept on constants.
+    assert format_terms([(-1, [("D1", 1), ("H", 1)]), (1, [])]) == "-D1*H + 1"
+    assert format_terms([(1, ())]) == "1"
+    assert format_terms([(-1, ())]) == "-1"
+    assert format_terms([(Fraction(2, 3), ())]) == "2/3"
+    # Factors print as given, zero exponents and repeats included.
+    assert format_terms([(1, [("D1", 1), ("D2", 0), ("D1", 1)])]) == "D1*D2^0*D1"
+    assert format_terms([(0, [("D1", 1)]), (0, ())]) == "0*D1 + 0"
 
 
 # --- rewrite rules ----------------------------------------------------------
@@ -595,6 +660,20 @@ def test_cover_transport_matches_reference(data):
     down = pushdown(cm, up)
     assert_canonical(down)
     assert down == x
+
+
+@given(data=st.data())
+def test_conjugate_character_flips_odd_graded_parts(data):
+    ring = deep_ring()
+    ch = RingElement(ring, data.draw(raw_terms(ring)))
+    expected = ring.zero()
+    for k in range(ring.cutoff + 1):
+        part = ch.graded_part(k)
+        expected = expected + (-part if k % 2 else part)
+    conjugate = _conjugate_character(ch)
+    assert conjugate == expected
+    assert_canonical(conjugate)
+    assert _conjugate_character(conjugate) == ch
 
 
 @pytest.mark.parametrize("make_ring", RING_FACTORIES)
