@@ -662,7 +662,7 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
 
     ring = variety.ring
 
-    bundles: dict[str, OrdinaryBundleClass] = {}
+    bundles: dict[str, OrdinaryBundleClass] = {TRIVIAL: trivial_line(ring)}
     for decl in bundle_decls:
         cap_coefficients(decl.chern)
         try:
@@ -677,10 +677,7 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
             for w in s.weights:
                 cap_denominator("weight", w.value, w.pos)
         summands = tuple(
-            (
-                trivial_line(ring) if s.bundle == TRIVIAL else bundles[s.bundle],
-                tuple((w.divisor, w.value) for w in s.weights),
-            )
+            (bundles[s.bundle], tuple((w.divisor, w.value) for w in s.weights))
             for s in decl.summands
         )
         try:

@@ -3,9 +3,9 @@
 This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
 cutoff, and taken modulo a list of homogeneous relations.  A ring is the
-one presentation of a variety's relations, held as rows lhs - rhs over
-exponent tuples, and it makes every check on generators and rules; the
-formal cover is built from the same rows.
+one presentation of a variety's relations, held as integer rows lhs - rhs
+over exponent tuples, and it makes every check on generators and rules;
+the formal cover is built from the same rows.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, itemgetter, sub
+from operator import add, ge, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -106,7 +106,8 @@ class GradedRing:
     ``sort_key`` order.  Its pivot columns are the non-normal monomials, so
     every rule set gives an associative ring and reduction always ends.
     The ring memoizes each monomial's normal form on first use, one block
-    of the matrix at a time.
+    of the matrix at a time, by fraction-free elimination of integer rows;
+    each pivot's form is finished by the ``_expand`` that finishes products.
     """
 
     def __init__(
@@ -138,9 +139,10 @@ class GradedRing:
         # form is None for a normal monomial.  Entries only ever get added,
         # and two threads filling the same entry store equal values.
         self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
-        # One row lhs - rhs per relation at or below the cutoff whose sides
-        # do not cancel; a relation above the cutoff holds identically.
-        self._relations: list[dict[Monomial, Fraction]] = []
+        # One integer row lhs - rhs per relation at or below the cutoff whose
+        # sides do not cancel, over no denominator: a row's scale leaves its
+        # normal forms alone.  A relation above the cutoff holds identically.
+        self._relations: list[Numerators] = []
 
         def rule_monomial(spec: MonoSpec, *at: int) -> Monomial:
             try:
@@ -168,11 +170,11 @@ class GradedRing:
                 row[mono] = row.get(mono, 0) - coeff
             row = {m: c for m, c in row.items() if c}
             if row and lhs_degree <= self.cutoff:
-                self._relations.append(row)
+                self._relations.append(_over_common_denominator(row)[0])
 
     @classmethod
     def _from_relations(
-        cls, generators, cutoff: int, relations: list[dict[Monomial, Fraction]]
+        cls, generators, cutoff: int, relations: list[Numerators]
     ) -> GradedRing:
         """A ring with relation rows already in this class's form; the rows
         are not re-checked."""
@@ -266,60 +268,61 @@ class GradedRing:
         degree = self.monomial_degree(mono)
         if degree > self.cutoff:
             return degree, _ZERO_FORM
-        if not self._relations:
-            self._memo[mono] = entry = (degree, None)
-            return entry
-        self._memo.update(self._reduce_block(mono, degree))
+        self._reduce_block(mono, degree)
         return self._memo[mono]
 
-    def _reduce_block(
-        self, mono: Monomial, degree: int
-    ) -> dict[Monomial, tuple[int, Optional[NormalForm]]]:
-        """Memo entries for every column of the block of the degree-``degree``
+    def _reduce_block(self, mono: Monomial, degree: int) -> None:
+        """Memoize every column of the block of the degree-``degree``
         relation matrix that holds ``mono``: the rows q * relation linked to
         ``mono`` through shared monomials.  The matrix is block-diagonal, so
         the block alone gives the pivots and normal forms of its columns.
+        Elimination is fraction-free (after Bareiss, Math. Comp. 1968): a
+        row meets a pivot as row * a - pivot * b, a and b the two leading
+        coefficients over their gcd, and then divides out its content.
         """
         columns = [mono]
-        entries = {mono: (degree, None)}
-        rows: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
+        seen = {mono}
+        rows: dict[tuple[int, Monomial], Numerators] = {}
         for column in columns:  # grows while it is read
             for index, relation in enumerate(self._relations):
                 for term in relation:
+                    if not all(map(ge, column, term)):
+                        continue
                     quotient = tuple(map(sub, column, term))
-                    if min(quotient) < 0 or (index, quotient) in rows:
+                    if (index, quotient) in rows:
                         continue
                     row = {tuple(map(add, quotient, t)): c for t, c in relation.items()}
                     rows[index, quotient] = row
                     for t in row:
-                        if t not in entries:
-                            entries[t] = (degree, None)
+                        if t not in seen:
+                            seen.add(t)
                             columns.append(t)
         # Echelon form: a row's leader is its largest exponent tuple, first
         # in ``sort_key`` order within a degree; no two pivots share one.
-        pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
+        pivots: dict[Monomial, Numerators] = {}
         for row in rows.values():
             while row:
                 leader = max(row)
-                scale = row[leader]
-                if leader not in pivots:
-                    pivots[leader] = {t: c / scale for t, c in row.items()}
+                pivot = pivots.setdefault(leader, row)
+                if pivot is row:
                     break
-                for t, c in pivots[leader].items():
-                    row[t] = row.get(t, 0) - scale * c
-                row = {t: c for t, c in row.items() if c}
-        # Back-substitution from the smallest leader up: a pivot row's tail
-        # holds smaller monomials only, whose normal forms are then known.
-        forms: dict[Monomial, dict[Monomial, Fraction]] = {}
+                g = gcd(row[leader], pivot[leader])
+                a, b = pivot[leader] // g, row[leader] // g
+                row = {t: row.get(t, 0) * a - pivot.get(t, 0) * b for t in row | pivot}
+                g = gcd(*row.values())
+                row = {t: c // g for t, c in row.items() if c}
+        # Normal columns first; then each leader's form -tail / lead, from the
+        # smallest leader up, so that the forms in its tail are memoized.
+        memo = self._memo
+        for column in columns:
+            if column not in pivots:
+                memo[column] = (degree, None)
         for leader in sorted(pivots):
-            form: dict[Monomial, Fraction] = {}
-            for t, c in pivots[leader].items():
-                if t != leader:
-                    for u, d in forms.get(t, {t: 1}).items():
-                        form[u] = form.get(u, 0) - c * d
-            forms[leader] = form = {u: d for u, d in form.items() if d}
-            entries[leader] = (degree, _over_common_denominator(form))
-        return entries
+            tail = pivots[leader]
+            lead = tail.pop(leader)
+            sign = -1 if lead > 0 else 1
+            tail = {t: sign * c for t, c in tail.items()}
+            memo[leader] = (degree, self._rewrite(tail, abs(lead)))
 
     def _expand(self, num: Numerators, den: int, pending: Numerators) -> NormalForm:
         """Canonical form of (num + normal forms of the pending monomials)

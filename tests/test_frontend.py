@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from parachern.bundles import OrdinaryBundleClass, ParabolicBundle
-from parachern.cli import evaluate_text, run
+from parachern.chow import integrate
+from parachern.cli import evaluate_text, execute_scene, run
 from parachern.frontend import (
     BundleDecl,
     CommandDecl,
@@ -208,6 +209,40 @@ def test_elaborate_chern_class_with_repeated_and_non_normal_monomials():
     )
     assert scene.parabolics["F"].classes == by_hand.classes
     assert scene.parabolics["F"].character == by_hand.character
+
+
+# The Grassmannian G(2,4) of lines in P^3 (Eisenbud-Harris, "3264 and All
+# That", ch. 4): the Schubert class S1 is a divisor, S2 and S11 have degree
+# 2, and S11^2 is the class of a point.
+GRASSMANNIAN = (
+    "variety G dim 4; divisor S1; class S2 deg 2; class S11 deg 2;"
+    "relation S1^2 = S2 + S11; relation S1*S2 = S1*S11;"
+    "relation S2*S11 = 0; relation S2^2 = S11^2; integral S11^2 = 1;"
+    "bundle Q rank 2 chern 1 + S1 + S2; parabolic E = Q{S1:1/2};"
+    "verify grothendieck E; verify corollary1 E;"
+)
+
+
+def test_grassmannian_scene_gives_hand_derived_values():
+    scene = elaborate(parse_program(GRASSMANNIAN))
+    ring = scene.variety.ring
+    s1, s2, s11 = (ring.generator(n) for n in ("S1", "S2", "S11"))
+    # Degree 2: S1^2 leads its relation, so S2 and S11 stay.  Degree 3:
+    # S1^3 and S1*S2 lead, so S1*S11 stays.  Degree 4: six monomials and
+    # five independent rows leave S11^2.
+    assert [len(ring.basis_monomials(k)) for k in range(5)] == [1, 1, 2, 1, 1]
+    # S1^4 = S1^2*S2 + S1^2*S11 = (S2^2 + S2*S11) + (S2*S11 + S11^2)
+    #      = 2*S11^2.
+    assert s1 ** 4 == 2 * s11 ** 2
+    assert integrate(scene.variety, s1 ** 4) == 2
+    # The weight 1/2 on S1 twists Q by l = S1/2: c_1 = c_1(Q) + 2l = 2*S1
+    # and c_2 = c_2(Q) + c_1(Q)*l + l^2 = S2 + 3/4*(S2 + S11).
+    E = scene.parabolics["E"]
+    c2 = Fraction(7, 4) * s2 + Fraction(3, 4) * s11
+    assert E.classes == (ring.one(), 2 * s1, c2)
+    entries, all_passed = execute_scene(scene)
+    assert [entry["passed"] for entry in entries] == [True, True]
+    assert all_passed
 
 
 def test_elaborate_weight_out_of_range():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -57,6 +58,16 @@ def deep_variety():
 
 def deep_ring():
     return deep_variety().ring
+
+
+def dense_ring():
+    # One relation D6^2 = sum of Di*Dj over i < j < 6: the block of
+    # D1*D2*D3*D4 holds 81 of the 126 degree-4 monomials and 16 pivots.
+    names = [f"D{i}" for i in range(1, 7)]
+    pairs = [
+        (1, {a: 1, b: 1}) for i, a in enumerate(names[:5]) for b in names[i + 1 : 5]
+    ]
+    return GradedRing([(n, 1) for n in names], cutoff=4, rules=[({"D6": 2}, pairs)])
 
 
 @pytest.fixture(scope="module")
@@ -564,7 +575,9 @@ def reference_normalize(ring, raw):
     rules = []
     for row in ring._relations:
         lhs = max(row)
-        rules.append((lhs, {m: -c / row[lhs] for m, c in row.items() if m != lhs}))
+        rules.append(
+            (lhs, {m: Fraction(-c, row[lhs]) for m, c in row.items() if m != lhs})
+        )
     current = {}
     for mono, coeff in raw.items():
         if coeff and ring.monomial_degree(mono) <= ring.cutoff:
@@ -620,7 +633,7 @@ def assert_canonical(x):
         assert x._den == 1
 
 
-RING_FACTORIES = [surface_ring, chain_ring, deep_ring]
+RING_FACTORIES = [surface_ring, chain_ring, deep_ring, dense_ring]
 
 
 @pytest.mark.parametrize("make_ring", RING_FACTORIES)
@@ -643,6 +656,21 @@ def test_kernel_matches_reference_rewrite(make_ring, data):
         assert dict(a.graded_part(k).terms) == reference_normalize(
             ring, {m: c for m, c in nf_a.items() if ring.monomial_degree(m) == k}
         )
+
+
+def test_dense_ring_matches_reference_rewrite():
+    # ``raw_terms`` seldom draws a monomial of degree at most 4 over six
+    # generators, so every such monomial of the dense ring is checked here,
+    # and every product of two degree-2 normal forms.
+    ring = dense_ring()
+    monos = [m for m in product(range(5), repeat=6) if sum(m) <= ring.cutoff]
+    forms = {m: reference_normalize(ring, {m: Fraction(1)}) for m in monos}
+    for mono, form in forms.items():
+        assert dict(RingElement(ring, {mono: 1}).terms) == form
+    quadrics = [m for m in monos if sum(m) == 2]
+    for a, b in product(quadrics, repeat=2):
+        x, y = RingElement(ring, {a: 1}), RingElement(ring, {b: 1})
+        assert dict((x * y).terms) == reference_mul(ring, forms[a], forms[b])
 
 
 @given(data=st.data())
