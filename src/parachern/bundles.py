@@ -34,6 +34,7 @@ from .rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
+    sum_of_products,
 )
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
@@ -139,12 +140,11 @@ class ParabolicBundle:
     def character(self) -> RingElement:
         """The full Chern character on the base: each summand's character
         twisted by exp of its weighted divisors."""
-        ring = self.ring
-        acc = ring.zero()
+        pairs = []
         for bundle, weights in self.summands:
-            twist = ring.element((w, {name: 1}) for name, w in weights)
-            acc = acc + bundle.character * exp_nilpotent(twist)
-        return acc
+            twist = self.ring.element((w, {name: 1}) for name, w in weights)
+            pairs.append((bundle.character, exp_nilpotent(twist)))
+        return sum_of_products(pairs)
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
@@ -180,8 +180,8 @@ def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
 
 def _conjugate_character(ch: RingElement) -> RingElement:
     # Negating every Chern root flips the sign of the odd graded parts.
-    degree = ch.ring.monomial_degree
-    num = {m: -c if degree(m) % 2 else c for m, c in ch._num.items()}
+    memo = ch.ring._memo
+    num = {m: -c if memo[m][0] % 2 else c for m, c in ch._num.items()}
     return RingElement._make(ch.ring, num, ch._den)
 
 
@@ -237,11 +237,11 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
         )
     ru = cm.cover_ring
-    total = ru.zero()
+    pairs = []
     for bundle, weights in E.summands:
         twist = ru.element((cm.order * w, {COVER_PREFIX + n: 1}) for n, w in weights)
-        total = total + cm.pullback(bundle.character) * exp_nilpotent(twist)
-    return OrdinaryBundleClass._from_character(E.rank, total)
+        pairs.append((cm.pullback(bundle.character), exp_nilpotent(twist)))
+    return OrdinaryBundleClass._from_character(E.rank, sum_of_products(pairs))
 
 
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:

@@ -135,9 +135,16 @@ class CoverModel:
         order^e with e its total divisor exponent."""
         if a.ring is not self.base.ring:
             raise RingMismatchError("element does not belong to the base ring")
-        n = len(self.base.divisors)
-        num = {mono: c * self.order ** sum(mono[:n]) for mono, c in a._num.items()}
+        num = _transported(self.base, self.order, a._num)
         return RingElement._from_numerators(self.cover_ring, num, a._den)
+
+
+def _transported(variety: Variety, order: int, num: dict) -> dict:
+    """Numerators keyed by packed monomials, each scaled by order^e with e
+    its total divisor exponent.  The cover ring packs as the base does."""
+    n = len(variety.divisors)
+    unpack = variety.ring._unpack
+    return {m: c * order ** sum(unpack(m)[:n]) for m, c in num.items()}
 
 
 def make_cover(variety: Variety, order: int) -> CoverModel:
@@ -152,9 +159,6 @@ def make_cover(variety: Variety, order: int) -> CoverModel:
     n = len(variety.divisors)
     generators = [(COVER_PREFIX + name, 1) for name in variety.divisors]
     generators.extend(zip(base.names[n:], base._degrees[n:]))
-    rows = [
-        {mono: c * order ** sum(mono[:n]) for mono, c in row.items()}
-        for row in base._relations
-    ]
+    rows = [_transported(variety, order, row) for row in base._relations]
     ring = GradedRing._from_relations(generators, base.cutoff, rows)
     return CoverModel(variety, order, ring)

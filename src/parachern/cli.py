@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -294,7 +295,9 @@ def _run_random(args, stdout, stderr) -> int:
     return worst
 
 
+@cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="parachern",
         description=(

@@ -3,9 +3,16 @@
 This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
 cutoff, and taken modulo a list of homogeneous relations.  A ring is the
-one presentation of a variety's relations, held as integer rows lhs - rhs
-over exponent tuples, and it makes every check on generators and rules;
-the formal cover is built from the same rows.
+one presentation of a variety's relations, held as integer rows lhs - rhs,
+and it makes every check on generators and rules; the formal cover is
+built from the same rows.
+
+Inside a ring each monomial is one packed int: exponent i in a field of
+``cutoff.bit_length() + 1`` bits, generator 0 most significant, so int
+order is exponent-tuple order and a product of monomials is one addition.
+No exponent at or below the cutoff reaches its field's top (guard) bit, so
+divisibility is one subtraction.  Tuples are packed on the way in, once
+monomials above the cutoff are dropped, and unpacked on the way out.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
@@ -15,7 +22,9 @@ and `named_terms` hand out.  Named terms, (coefficient, (name, exponent)
 factors) pairs, are read by `GradedRing.element` and printed by
 `format_terms`.  Each ring memoizes the normal form of every monomial it
 meets, so reduction runs once per monomial and ring rather than once per
-product.  Nothing here touches floating point.
+product.  Every product and sum of products runs the one loop of
+:func:`sum_of_products` and is normalized once; exp is a product of
+one-term series.  Nothing here touches floating point.
 
 The Newton bridge between a total Chern class and a Chern character takes
 and returns whole elements and splits graded parts itself;
@@ -28,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, ge, itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -38,12 +47,9 @@ MonoSpec = Union[Mapping[str, int], Iterable[tuple[str, int]]]
 Factors = tuple[tuple[str, int], ...]
 # A rule: a monomial and the (coefficient, monomial) terms it equals.
 RuleSpec = tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]
-# Integer numerators over one positive denominator.
-Numerators = dict[Monomial, int]
+# Integer numerators over one positive denominator, by packed monomial.
+Numerators = dict[int, int]
 NormalForm = tuple[Numerators, int]
-
-# The normal form of a monomial above the cutoff; never mutated.
-_ZERO_FORM: NormalForm = ({}, 1)
 
 
 class RingMismatchError(ValueError):
@@ -68,7 +74,7 @@ def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
     return spec
 
 
-def _over_common_denominator(coeffs: Mapping[Monomial, Fraction]) -> NormalForm:
+def _over_common_denominator(coeffs: Mapping[int, Fraction]) -> NormalForm:
     """Integer numerators over the least common denominator."""
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
@@ -99,6 +105,10 @@ class GradedRing:
     ``("rules", rule)``, or ``("rules", rule, term)``, terms counted as
     written, for a term of the wrong degree or with an unknown generator.
     A rule above the cutoff holds identically and keeps no row.
+
+    The API takes and returns monomials as exponent tuples; inside, each is
+    a packed int (see the module docstring), the key of the memo, of the
+    relation rows and of every element's numerators.
 
     Normal forms come from exact row reduction of each degree's relation
     matrix, the relations times every monomial of the complementary degree
@@ -134,11 +144,15 @@ class GradedRing:
         self._degrees = tuple(degrees)
         self._index = {name: i for i, name in enumerate(names)}
         self.cutoff = int(cutoff)
-        self._zero_mono: Monomial = (0,) * len(names)
-        # Monomial at or below the cutoff -> (degree, normal form), where the
-        # form is None for a normal monomial.  Entries only ever get added,
-        # and two threads filling the same entry store equal values.
-        self._memo: dict[Monomial, tuple[int, Optional[NormalForm]]] = {}
+        width = self.cutoff.bit_length() + 1
+        self._shifts = tuple(width * i for i in reversed(range(len(names))))
+        self._mask = (1 << width) - 1
+        self._guard = sum(1 << (shift + width - 1) for shift in self._shifts)
+        # Packed monomial at or below the cutoff -> (degree, normal form),
+        # where the form is None for a normal monomial; every monomial of
+        # every element has an entry.  Entries only ever get added, and two
+        # threads filling the same entry store equal values.
+        self._memo: dict[int, tuple[int, Optional[NormalForm]]] = {0: (0, None)}
         # One integer row lhs - rhs per relation at or below the cutoff whose
         # sides do not cancel, over no denominator: a row's scale leaves its
         # normal forms alone.  A relation above the cutoff holds identically.
@@ -152,7 +166,7 @@ class GradedRing:
 
         for idx, (lhs_spec, rhs_terms) in enumerate(rules):
             lhs = rule_monomial(lhs_spec, idx)
-            if lhs == self._zero_mono:
+            if not any(lhs):
                 raise InputError(
                     "rule left side must be a non-constant monomial", "rules", idx
                 )
@@ -168,9 +182,10 @@ class GradedRing:
                         "relation is not degree-homogeneous", "rules", idx, term
                     )
                 row[mono] = row.get(mono, 0) - coeff
-            row = {m: c for m, c in row.items() if c}
-            if row and lhs_degree <= self.cutoff:
-                self._relations.append(_over_common_denominator(row)[0])
+            if lhs_degree <= self.cutoff:
+                row = {self._pack(m): c for m, c in row.items() if c}
+                if row:
+                    self._relations.append(_over_common_denominator(row)[0])
 
     @classmethod
     def _from_relations(
@@ -210,6 +225,13 @@ class GradedRing:
         out."""
         return tuple((name, exp) for name, exp in zip(self._names, mono) if exp)
 
+    def _pack(self, mono: Monomial) -> int:
+        """The packed int of an exponent tuple at or below the cutoff."""
+        return sum(e << shift for e, shift in zip(mono, self._shifts))
+
+    def _unpack(self, packed: int) -> Monomial:
+        return tuple((packed >> shift) & self._mask for shift in self._shifts)
+
     def basis_monomials(self, degree: int) -> list[Monomial]:
         """All normal monomials of the given total degree."""
         if degree < 0 or degree > self.cutoff:
@@ -221,7 +243,7 @@ class GradedRing:
             if i == n:
                 if remaining == 0:
                     mono = tuple(acc)
-                    if self._entry(mono)[1] is None:
+                    if self._entry(self._pack(mono))[1] is None:
                         out.append(mono)
                 return
             step = self._degrees[i]
@@ -236,15 +258,13 @@ class GradedRing:
         return RingElement._make(self, {}, 1)
 
     def one(self) -> RingElement:
-        return RingElement._make(self, {self._zero_mono: 1}, 1)
+        return RingElement._make(self, {0: 1}, 1)
 
     def scalar(self, value: Rational) -> RingElement:
         value = Fraction(value)
         if not value:
             return self.zero()
-        return RingElement._make(
-            self, {self._zero_mono: value.numerator}, value.denominator
-        )
+        return RingElement._make(self, {0: value.numerator}, value.denominator)
 
     def generator(self, name: str) -> RingElement:
         return self.element([(1, {name: 1})])
@@ -258,20 +278,17 @@ class GradedRing:
             coeffs[mono] = coeffs.get(mono, 0) + Fraction(coeff)
         return RingElement(self, coeffs)
 
-    def _entry(self, mono: Monomial) -> tuple[int, Optional[NormalForm]]:
-        """Degree and normal form of a monomial; the form is None when the
-        monomial is normal and at or below the cutoff.  Fills the memo on
-        first use; monomials above the cutoff are not memoized."""
+    def _entry(self, mono: int) -> tuple[int, Optional[NormalForm]]:
+        """Degree and normal form of a packed monomial at or below the
+        cutoff; the form is None when the monomial is normal.  Fills the
+        memo on first use."""
         entry = self._memo.get(mono)
         if entry is not None:
             return entry
-        degree = self.monomial_degree(mono)
-        if degree > self.cutoff:
-            return degree, _ZERO_FORM
-        self._reduce_block(mono, degree)
+        self._reduce_block(mono, self.monomial_degree(self._unpack(mono)))
         return self._memo[mono]
 
-    def _reduce_block(self, mono: Monomial, degree: int) -> None:
+    def _reduce_block(self, mono: int, degree: int) -> None:
         """Memoize every column of the block of the degree-``degree``
         relation matrix that holds ``mono``: the rows q * relation linked to
         ``mono`` through shared monomials.  The matrix is block-diagonal, so
@@ -280,26 +297,29 @@ class GradedRing:
         row meets a pivot as row * a - pivot * b, a and b the two leading
         coefficients over their gcd, and then divides out its content.
         """
+        guard = self._guard
         columns = [mono]
         seen = {mono}
-        rows: dict[tuple[int, Monomial], Numerators] = {}
+        rows: dict[tuple[int, int], Numerators] = {}
         for column in columns:  # grows while it is read
+            lifted = column | guard
             for index, relation in enumerate(self._relations):
                 for term in relation:
-                    if not all(map(ge, column, term)):
+                    # ``term`` divides ``column`` when no field borrows.
+                    if (lifted - term) & guard != guard:
                         continue
-                    quotient = tuple(map(sub, column, term))
+                    quotient = column - term
                     if (index, quotient) in rows:
                         continue
-                    row = {tuple(map(add, quotient, t)): c for t, c in relation.items()}
+                    row = {quotient + t: c for t, c in relation.items()}
                     rows[index, quotient] = row
                     for t in row:
                         if t not in seen:
                             seen.add(t)
                             columns.append(t)
-        # Echelon form: a row's leader is its largest exponent tuple, first
+        # Echelon form: a row's leader is its largest packed monomial, first
         # in ``sort_key`` order within a degree; no two pivots share one.
-        pivots: dict[Monomial, Numerators] = {}
+        pivots: dict[int, Numerators] = {}
         for row in rows.values():
             while row:
                 leader = max(row)
@@ -340,7 +360,8 @@ class GradedRing:
         return _canonical(num, den)
 
     def _rewrite(self, num: Numerators, den: int) -> NormalForm:
-        """Canonical form of ``num / den`` over arbitrary monomials."""
+        """Canonical form of ``num / den`` over any packed monomials at or
+        below the cutoff."""
         normal: Numerators = {}
         pending: Numerators = {}
         memo = self._memo
@@ -356,20 +377,24 @@ class GradedRing:
 
 
 class _Terms(Mapping):
-    """Read-only view of an element's terms; builds each ``Fraction`` on
-    access."""
+    """Read-only view of an element's terms by exponent tuple; unpacks each
+    key and builds each ``Fraction`` on access."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_ring", "_num", "_den")
 
-    def __init__(self, num: Numerators, den: int):
+    def __init__(self, ring: GradedRing, num: Numerators, den: int):
+        self._ring = ring
         self._num = num
         self._den = den
 
     def __getitem__(self, mono: Monomial) -> Fraction:
-        return Fraction(self._num[mono], self._den)
+        packed = self._ring._pack(mono)
+        if self._ring._unpack(packed) != mono:
+            raise KeyError(mono)
+        return Fraction(self._num[packed], self._den)
 
     def __iter__(self):
-        return iter(self._num)
+        return map(self._ring._unpack, self._num)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -380,19 +405,22 @@ class RingElement:
 
     Immutable after construction; equality is exact equality of term maps
     within the same ring.  Arithmetic accepts ``int`` and ``Fraction``
-    scalars on either side.
+    scalars on either side.  Constructed from a map of exponent tuples to
+    coefficients; terms above the cutoff are dropped.
 
-    The terms are held as integer numerators ``_num`` over one denominator
-    ``_den``, in canonical form: ``_den > 0``, the gcd of ``_den`` and all
-    numerators is 1, no numerator is zero, and every monomial is normal and
-    at or below the cutoff.  The zero element has ``_den == 1``.
+    The terms are held as integer numerators ``_num`` by packed monomial
+    over one denominator ``_den``, in canonical form: ``_den > 0``, the gcd
+    of ``_den`` and all numerators is 1, no numerator is zero, and every
+    monomial is normal, memoized and at or below the cutoff.  The zero
+    element has ``_den == 1``.
     """
 
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Rational]):
+        degree, cutoff, pack = ring.monomial_degree, ring.cutoff, ring._pack
         num, den = _over_common_denominator(
-            {mono: Fraction(coeff) for mono, coeff in terms.items()}
+            {pack(m): Fraction(c) for m, c in terms.items() if degree(m) <= cutoff}
         )
         self._set(ring, *ring._rewrite(num, den))
 
@@ -413,7 +441,8 @@ class RingElement:
     def _from_numerators(
         cls, ring: GradedRing, num: Numerators, den: int
     ) -> RingElement:
-        """The element ``num / den``, normalized, for any monomials."""
+        """The element ``num / den``, normalized, for any packed monomials
+        at or below the cutoff."""
         return cls._make(ring, *ring._rewrite(num, den))
 
     def __setattr__(self, name, value):
@@ -421,14 +450,14 @@ class RingElement:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return _Terms(self._num, self._den)
+        return _Terms(self.ring, self._num, self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        den = self._den
-        return sorted(
-            ((m, Fraction(c, den)) for m, c in self._num.items()),
-            key=lambda kv: self.ring.sort_key(kv[0]),
-        )
+        # Within a degree, ``sort_key`` order is descending packed order.
+        ring, num, den = self.ring, self._num, self._den
+        memo = ring._memo
+        order = sorted(num, key=lambda m: (memo[m][0], -m))
+        return [(ring._unpack(m), Fraction(num[m], den)) for m in order]
 
     def named_terms(self) -> list[tuple[Fraction, Factors]]:
         """(coefficient, (name, exponent) factors) pairs in ``sort_key``
@@ -445,10 +474,8 @@ class RingElement:
         ring = self.ring
         if k < 0 or k > ring.cutoff:
             raise ValueError(f"degree {k} outside [0, {ring.cutoff}]")
-        memo, entry = ring._memo, ring._entry
-        picked = {
-            m: c for m, c in self._num.items() if (memo.get(m) or entry(m))[0] == k
-        }
+        memo = ring._memo
+        picked = {m: c for m, c in self._num.items() if memo[m][0] == k}
         return RingElement._make(ring, *_canonical(picked, self._den))
 
     def _coerce(self, other):
@@ -509,26 +536,7 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
-        memo = ring._memo
-        entry = ring._entry
-        # The right factor's terms by ascending degree, so the inner loop
-        # stops at the first product above the cutoff.
-        right = sorted(
-            (((memo.get(m) or entry(m))[0], m, c) for m, c in o._num.items()),
-            key=itemgetter(0),
-        )
-        num: Numerators = {}
-        pending: Numerators = {}
-        for ma, ca in self._num.items():
-            room = ring.cutoff - (memo.get(ma) or entry(ma))[0]
-            for degree, mb, cb in right:
-                if degree > room:
-                    break
-                prod = tuple(map(add, ma, mb))
-                target = num if (memo.get(prod) or entry(prod))[1] is None else pending
-                target[prod] = target.get(prod, 0) + ca * cb
-        return RingElement._make(ring, *ring._expand(num, self._den * o._den, pending))
+        return sum_of_products([(self, o)])
 
     __rmul__ = __mul__
 
@@ -567,6 +575,39 @@ class RingElement:
         return f"RingElement({self})"
 
 
+def sum_of_products(pairs: Sequence[tuple[RingElement, RingElement]]) -> RingElement:
+    """The sum of a * b over a non-empty sequence of (a, b) pairs of one
+    ring: every product term is added into one set of integer numerators
+    over the least common denominator, and the sum is normalized once."""
+    ring = pairs[0][0].ring
+    for a, b in pairs:
+        if a.ring is not ring or b.ring is not ring:
+            raise RingMismatchError("elements belong to different rings")
+    memo = ring._memo
+    entry = ring._entry
+    cutoff = ring.cutoff
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    num: Numerators = {}
+    pending: Numerators = {}
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        # The right factor's terms by ascending degree, so the inner loop
+        # stops at the first product above the cutoff.
+        right = sorted(
+            ((memo[m][0], m, c) for m, c in b._num.items()), key=itemgetter(0)
+        )
+        for ma, ca in a._num.items():
+            room = cutoff - memo[ma][0]
+            ca *= scale
+            for degree, mb, cb in right:
+                if degree > room:
+                    break
+                prod = ma + mb
+                target = num if (memo.get(prod) or entry(prod))[1] is None else pending
+                target[prod] = target.get(prod, 0) + ca * cb
+    return RingElement._make(ring, *ring._expand(num, den, pending))
+
+
 def format_terms(terms: Iterable[tuple[Rational, Iterable[tuple[str, int]]]]) -> str:
     """A polynomial from (coefficient, (name, exponent) factors) terms, in
     the given order: ``-1/2*D1^2 + D2 - 3``; ``0`` when there are none.
@@ -593,26 +634,35 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     """Exponential sum(a^k / k!) of an element with vanishing degree-0 part.
 
     Finite because a^k has degree at least k, which exceeds the cutoff for
-    large k.  Satisfies exp(a) * exp(b) = exp(a + b).
+    large k.  Computed as the product over the terms c m of ``a`` of the
+    series exp(c m) = sum(c^k m^k / k!) for deg(m^k) up to the cutoff, each
+    read in as integer numerators over den^top * top!.  Satisfies
+    exp(a) * exp(b) = exp(a + b).
     """
-    if not a.graded_part(0).is_zero:
+    if 0 in a._num:
         raise ValueError("exp_nilpotent requires a vanishing degree-0 part")
-    result = a.ring.one()
-    power = a.ring.one()
-    for k in range(1, a.ring.cutoff + 1):
-        power = power * a
-        if power.is_zero:
-            break
-        result = result + power * Fraction(1, factorial(k))
+    ring = a.ring
+    memo = ring._memo
+    den = a._den
+    result = ring.one()
+    for mono, c in a._num.items():
+        top = ring.cutoff // memo[mono][0]
+        num = {
+            k * mono: c**k * den ** (top - k) * (factorial(top) // factorial(k))
+            for k in range(top + 1)
+        }
+        result = result * RingElement._from_numerators(
+            ring, num, den**top * factorial(top)
+        )
     return result
 
 
 def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement, ...]:
     """Chern classes c_0..c_rank of a rank-``rank`` Chern character.
 
-    The power sums p_k = k! * ch_k and the classes satisfy Newton's
-    identities p_k - c_1 p_{k-1} + ... + (-1)^(k-1) c_{k-1} p_1
-    + (-1)^k k c_k = 0.  Classes above the ring cutoff come back as zero.
+    With s_i = (-1)^(i+1) i! ch_i, Newton's identities read
+    k c_k = c_0 s_k + c_1 s_(k-1) + ... + c_(k-1) s_1, one sum of products
+    per class.  Classes above the ring cutoff come back as zero.
     """
     if int(rank) < 1:
         raise ValueError("rank must be a positive integer")
@@ -621,14 +671,15 @@ def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement
     if character.graded_part(0) != ring.scalar(rank):
         raise ValueError("character part 0 must equal the rank")
     top = min(rank, ring.cutoff)
-    p = [ring.zero()]
-    p.extend(character.graded_part(k) * factorial(k) for k in range(1, top + 1))
+    s = [ring.zero()]
+    s.extend(
+        character.graded_part(k) * ((-1) ** (k + 1) * factorial(k))
+        for k in range(1, top + 1)
+    )
     classes = [ring.one()]
     for k in range(1, top + 1):
-        acc = ring.zero()
-        for j in range(k):
-            acc = acc + classes[j] * p[k - j] * ((-1) ** j)
-        classes.append(acc * Fraction((-1) ** (k + 1), k))
+        total = sum_of_products([(classes[j], s[k - j]) for j in range(k)])
+        classes.append(total * Fraction(1, k))
     classes.extend(ring.zero() for _ in range(rank - top))
     return tuple(classes)
 
@@ -639,7 +690,9 @@ def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
 
     The one check of a total Chern class: its degree-0 part must be 1 and
     its parts above min(rank, cutoff) must vanish.  Inverse of
-    :func:`chern_from_character` up to the degree cutoff.
+    :func:`chern_from_character` up to the degree cutoff: Newton's
+    identities solved for s_k = (-1)^(k+1) k! ch_k give
+    s_k = k c_k - c_1 s_(k-1) - ... - c_(k-1) s_1.
     """
     if int(rank) < 1:
         raise ValueError("bundle rank must be at least 1")
@@ -653,14 +706,12 @@ def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
             raise ValueError(
                 f"Chern part of degree {k} exceeds the bundle rank {rank}"
             )
-    p = [ring.zero()]
-    character = ring.scalar(rank)
+    s = [ring.zero()]
+    character = [(ring.one(), ring.scalar(rank))]
     for k in range(1, ring.cutoff + 1):
-        acc = ring.zero()
-        for j in range(1, min(k - 1, rank) + 1):
-            acc = acc + chern[j] * p[k - j] * ((-1) ** (j - 1))
+        pairs = [(-chern[j], s[k - j]) for j in range(1, min(k - 1, rank) + 1)]
         if k <= rank:
-            acc = acc + chern[k] * ((-1) ** (k + 1) * k)
-        p.append(acc)
-        character = character + acc * Fraction(1, factorial(k))
-    return character
+            pairs.append((chern[k], ring.scalar(k)))
+        s.append(sum_of_products(pairs))
+        character.append((s[k], ring.scalar(Fraction((-1) ** (k + 1), factorial(k)))))
+    return sum_of_products(character)

@@ -245,6 +245,42 @@ def test_grassmannian_scene_gives_hand_derived_values():
     assert all_passed
 
 
+TORIC_PLANE = (
+    "variety P dim 2; divisor D1, D2, D3; relation D2 = D1; relation D3 = D1;"
+    "integral D3^2 = 1; bundle T rank 2 chern 1 + 3*D3 + 3*D3^2;"
+    "parabolic E = T{D1:1/2} (+) O{D2:1/3, D3:2/3};"
+    "compute chern E; compute degree E; verify grothendieck E; verify corollary1 E;"
+)
+
+
+def test_toric_plane_scene_gives_hand_derived_values():
+    # The toric P^2 (Fulton, Introduction to Toric Varieties, 5.2): the
+    # boundary lines are linearly equivalent, so each reduces to D3 = H, the
+    # degree-lex least, in one block of two linear rows.
+    scene = elaborate(parse_program(TORIC_PLANE))
+    ring = scene.variety.ring
+    h = ring.generator("D3")
+    assert ring.generator("D1") == ring.generator("D2") == h
+    assert [ring.basis_monomials(k) for k in range(3)] == [
+        [(0, 0, 0)],
+        [(0, 0, 1)],
+        [(0, 0, 2)],
+    ]
+    # T has roots a, b with a + b = 3H and a*b = 3H^2; the weight 1/2 on D1
+    # makes them a + H/2, b + H/2, and O{D2:1/3, D3:2/3} adds the root H.
+    # c_1 = 3H + H + H = 5H;
+    # c_2 = (a + H/2)(b + H/2) + H(a + b + H)
+    #     = 3H^2 + 3/2 H^2 + 1/4 H^2 + 4H^2 = 35/4 H^2;
+    # degree = integral of ch_2 = (c_1^2 - 2 c_2) / 2 = (25 - 35/2) / 2 = 15/4.
+    E = scene.parabolics["E"]
+    assert E.classes == (ring.one(), 5 * h, Fraction(35, 4) * h ** 2, ring.zero())
+    entries, all_passed = execute_scene(scene)
+    assert entries[0]["classes"] == ["1", "5*D3", "35/4*D3^2", "0"]
+    assert entries[1]["value"] == "15/4"
+    assert [entry["passed"] for entry in entries[2:]] == [True, True]
+    assert all_passed
+
+
 def test_elaborate_weight_out_of_range():
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_program("variety X dim 2; divisor D1; parabolic E = O{D1:3/2};"))

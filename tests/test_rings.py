@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from parachern.rings import (
     chern_from_character,
     exp_nilpotent,
     format_terms,
+    sum_of_products,
 )
 from proj_bundle_oracle import pushdown
 
@@ -558,13 +559,26 @@ def test_bridge_round_trip(data):
 # --- integer kernel against the reference rewrite path ----------------------
 
 
+@st.composite
+def raw_monomial(draw, ring):
+    """A monomial of 0 to cutoff + 1 generator factors, so that most lie at
+    or below the cutoff; one in ten also gets one exponent of 4 * cutoff,
+    which would spill into the next packed field if it were packed before
+    the cutoff filter."""
+    n = len(ring.names)
+    exps = [0] * n
+    for _ in range(draw(st.integers(min_value=0, max_value=ring.cutoff + 1))):
+        exps[draw(st.integers(min_value=0, max_value=n - 1))] += 1
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        exps[draw(st.integers(min_value=0, max_value=n - 1))] = 4 * ring.cutoff
+    return tuple(exps)
+
+
 def raw_terms(ring):
     """Term maps over arbitrary monomials, non-normal ones and ones above the
     cutoff included, with rational coefficients."""
-    exponent = st.integers(min_value=0, max_value=ring.cutoff + 1)
-    mono = st.tuples(*[exponent] * len(ring.names))
     coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    return st.dictionaries(mono, coeff, max_size=6)
+    return st.dictionaries(raw_monomial(ring), coeff, max_size=6)
 
 
 def reference_normalize(ring, raw):
@@ -573,7 +587,8 @@ def reference_normalize(ring, raw):
     monomial.  This agrees with row reduction when the rules are confluent
     and terminate, as those of ``RING_FACTORIES`` and their covers do."""
     rules = []
-    for row in ring._relations:
+    for packed in ring._relations:
+        row = {ring._unpack(m): c for m, c in packed.items()}
         lhs = max(row)
         rules.append(
             (lhs, {m: Fraction(-c, row[lhs]) for m, c in row.items() if m != lhs})
@@ -626,9 +641,9 @@ def assert_canonical(x):
     assert x._den > 0
     assert gcd(x._den, *x._num.values()) == 1
     assert all(x._num.values())
-    for mono in x._num:
-        assert ring.monomial_degree(mono) <= ring.cutoff
-        assert ring._entry(mono)[1] is None
+    for packed in x._num:
+        assert ring.monomial_degree(ring._unpack(packed)) <= ring.cutoff
+        assert ring._entry(packed)[1] is None
     if x.is_zero:
         assert x._den == 1
 
@@ -659,9 +674,8 @@ def test_kernel_matches_reference_rewrite(make_ring, data):
 
 
 def test_dense_ring_matches_reference_rewrite():
-    # ``raw_terms`` seldom draws a monomial of degree at most 4 over six
-    # generators, so every such monomial of the dense ring is checked here,
-    # and every product of two degree-2 normal forms.
+    # Exhaustive where ``raw_terms`` samples: every monomial of degree at
+    # most 4 of the dense ring, and every product of two degree-2 forms.
     ring = dense_ring()
     monos = [m for m in product(range(5), repeat=6) if sum(m) <= ring.cutoff]
     forms = {m: reference_normalize(ring, {m: Fraction(1)}) for m in monos}
@@ -727,3 +741,58 @@ def test_scalar_round_trips_are_exact(ring):
     x = Fraction(5, 18) * d1 ** 2 + d1 / 4
     assert x - x == ring.zero()
     assert (x - x)._den == 1
+
+
+def test_monomials_far_above_the_cutoff_vanish():
+    for make_ring in RING_FACTORIES:
+        ring = make_ring()
+        n = len(ring.names)
+        for i in range(n):
+            far = tuple(4 * ring.cutoff if j == i else 0 for j in range(n))
+            assert RingElement(ring, {far: 1}).is_zero
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_sum_of_products_matches_pairwise_products(make_ring, data):
+    ring = make_ring()
+    element = raw_terms(ring).map(lambda terms: RingElement(ring, terms))
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    total = sum_of_products(pairs)
+    assert total == sum((a * b for a, b in pairs), ring.zero())
+    assert_canonical(total)
+
+
+def class_ring():
+    # K has degree 2, so exp(c*K) stops at K^2; D1^2 = K makes the powers
+    # of D1 non-normal.
+    return GradedRing(
+        [("D1", 1), ("D2", 1), ("K", 2)],
+        cutoff=4,
+        rules=[({"D1": 2}, [(1, {"K": 1})])],
+    )
+
+
+def series_exp(a):
+    """sum(a^k / k!) by repeated multiplication."""
+    result = power = a.ring.one()
+    for k in range(1, a.ring.cutoff + 1):
+        power = power * a
+        result = result + power / factorial(k)
+    return result
+
+
+def test_exp_of_class_and_non_normal_terms():
+    ring = class_ring()
+    d1, k = ring.generator("D1"), ring.generator("K")
+    assert exp_nilpotent(k / 3) == 1 + k / 3 + k ** 2 / 18
+    # D1^2 = K, so exp(D1) = 1 + D1 + K/2 + D1*K/6 + K^2/24.
+    assert exp_nilpotent(d1) == 1 + d1 + k / 2 + d1 * k / 6 + k ** 2 / 24
+
+
+@pytest.mark.parametrize("make_ring", [class_ring, threefold_ring] + RING_FACTORIES)
+@given(data=st.data())
+def test_exp_matches_the_plain_series(make_ring, data):
+    ring = make_ring()
+    a = data.draw(elements(ring).map(lambda x: x - x.graded_part(0)))
+    assert exp_nilpotent(a) == series_exp(a)
