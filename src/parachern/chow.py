@@ -23,7 +23,7 @@ from .rings import (
     RingElement,
     RingMismatchError,
     RuleSpec,
-    format_terms,
+    format_monomial,
 )
 
 COVER_PREFIX = "~"
@@ -84,7 +84,7 @@ class Variety:
                 message = f"integral monomial must have degree {ring.cutoff}"
                 raise InputError(message, *at)
             # The monomial as written, e.g. D1*D1 for a repeated D1^2.
-            named = format_terms([(1, factors)])
+            named = format_monomial(factors)
             reduced = ring.element([(1, factors)])
             if list(reduced.terms) != [mono]:
                 message = f"integral monomial {named} is not normal; it reduces to"
@@ -110,7 +110,7 @@ def integrate(variety: Variety, a: RingElement) -> Fraction:
     for mono, coeff in a.graded_part(variety.dim).sorted_terms():
         if mono not in variety.integral_table:
             factors = variety.ring._factors(mono)
-            raise MissingIntegralError(format_terms([(1, factors)]))
+            raise MissingIntegralError(format_monomial(factors))
         total += coeff * variety.integral_table[mono]
     return total
 
@@ -136,15 +136,17 @@ class CoverModel:
         if a.ring is not self.base.ring:
             raise RingMismatchError("element does not belong to the base ring")
         num = _transported(self.base, self.order, a._num)
-        return RingElement._from_numerators(self.cover_ring, num, a._den)
+        ring = self.cover_ring
+        return RingElement._make(ring, *ring._rewrite(num, a._den))
 
 
 def _transported(variety: Variety, order: int, num: dict) -> dict:
     """Numerators keyed by packed monomials, each scaled by order^e with e
     its total divisor exponent.  The cover ring packs as the base does."""
     n = len(variety.divisors)
-    unpack = variety.ring._unpack
-    return {m: c * order ** sum(unpack(m)[:n]) for m, c in num.items()}
+    exponent = variety.ring._leading_exponent
+    powers = [order**e for e in range(variety.dim + 1)]
+    return {m: c * powers[exponent(m, n)] for m, c in num.items()}
 
 
 def make_cover(variety: Variety, order: int) -> CoverModel:

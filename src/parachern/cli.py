@@ -33,7 +33,7 @@ from .frontend import (
     elaborate,
     parse_program,
 )
-from .rings import format_terms
+from .rings import RingElement, format_terms
 from .scenegen import random_scene_text
 
 SCHEMA_VERSION = 1
@@ -54,6 +54,15 @@ def _ct_polynomial_string(classes: Sequence[str]) -> str:
     return " + ".join(parts)
 
 
+def _class_report(element: RingElement) -> tuple[str, list[dict]]:
+    """An element's text and report terms, from its printed terms."""
+    printed = element.printed_terms()
+    terms = [
+        {"coefficient": c, "monomial": [list(f) for f in fs]} for c, fs, _ in printed
+    ]
+    return format_terms([(c, text) for c, _, text in printed]), terms
+
+
 def _run_compute(scene: Scene, command: CommandDecl) -> dict:
     name = command.names[0]
     bundle = scene.parabolics[name]
@@ -72,18 +81,12 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
         classes = chern_character(bundle)
     else:
         raise ValueError(f"unknown compute kind {command.kind!r}")
-    named = [c.named_terms() for c in classes]
-    strings = [format_terms(terms) for terms in named]
+    reports = [_class_report(c) for c in classes]
+    strings = [text for text, _ in reports]
     if command.kind == "ctpoly":
         entry["polynomial"] = _ct_polynomial_string(strings)
     entry["classes"] = strings
-    entry["terms"] = [
-        [
-            {"coefficient": str(coeff), "monomial": [list(f) for f in factors]}
-            for coeff, factors in terms
-        ]
-        for terms in named
-    ]
+    entry["terms"] = [terms for _, terms in reports]
     return entry
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import Variety
-from .rings import Factors, InputError, format_terms
+from .rings import Factors, InputError, format_monomial, format_terms
 
 # Command kinds by action, each with the number of names it takes.
 COMMANDS = {
@@ -223,9 +223,10 @@ def _lex(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        # ASCII only; int() takes some other digits ('٣') but not all ('²').
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -478,6 +479,10 @@ def _named(poly: PolyAST) -> list[tuple[Fraction, Factors]]:
     return [(term.coeff, _factors(term.factors)) for term in poly]
 
 
+def _printed(poly: PolyAST) -> list[tuple[str, str]]:
+    return [(str(coeff), format_monomial(factors)) for coeff, factors in _named(poly)]
+
+
 def _format_summand(s: SummandAST) -> str:
     inner = ", ".join(f"{w.divisor}:{w.value}" for w in s.weights)
     return f"{s.bundle}{{{inner}}}"
@@ -494,13 +499,13 @@ def format_program(ast: SceneAST) -> str:
         elif isinstance(stmt, ClassDecl):
             lines.append(f"class {stmt.name} deg {stmt.degree};")
         elif isinstance(stmt, RelationDecl):
-            lhs = format_terms([(1, _factors(stmt.lhs))])
-            lines.append(f"relation {lhs} = {format_terms(_named(stmt.rhs))};")
+            lhs = format_monomial(_factors(stmt.lhs))
+            lines.append(f"relation {lhs} = {format_terms(_printed(stmt.rhs))};")
         elif isinstance(stmt, IntegralDecl):
-            mono = format_terms([(1, _factors(stmt.mono))])
+            mono = format_monomial(_factors(stmt.mono))
             lines.append(f"integral {mono} = {stmt.value};")
         elif isinstance(stmt, BundleDecl):
-            chern = format_terms(_named(stmt.chern))
+            chern = format_terms(_printed(stmt.chern))
             lines.append(f"bundle {stmt.name} rank {stmt.rank} chern {chern};")
         elif isinstance(stmt, ParabolicDecl):
             summands = " (+) ".join(_format_summand(s) for s in stmt.summands)

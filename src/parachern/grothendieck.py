@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bundles import ParabolicBundle, direct_sum, dual, relation_classes, tensor
-from .rings import RingElement
+from .rings import RingElement, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,11 @@ def verify_cover_pullback(E: ParabolicBundle) -> bool:
 def _poly_mul(
     a: Sequence[RingElement], b: Sequence[RingElement]
 ) -> tuple[RingElement, ...]:
-    ring = a[0].ring
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return tuple(out)
+    r, s = len(a) - 1, len(b) - 1
+    return tuple(
+        sum_of_products([(a[i], b[k - i]) for i in range(max(k - s, 0), min(k, r) + 1)])
+        for k in range(r + s + 1)
+    )
 
 
 def verify_pair_identities(E: ParabolicBundle, F: ParabolicBundle) -> PairIdentityChecks:

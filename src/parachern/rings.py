@@ -17,14 +17,14 @@ monomials above the cutoff are dropped, and unpacked on the way out.
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
 only at the API: in constructor input, the coefficients `GradedRing.element`
-reads, scalar operands, and the coefficients that `terms`, `sorted_terms`
-and `named_terms` hand out.  Named terms, (coefficient, (name, exponent)
-factors) pairs, are read by `GradedRing.element` and printed by
-`format_terms`.  Each ring memoizes the normal form of every monomial it
-meets, so reduction runs once per monomial and ring rather than once per
-product.  Every product and sum of products runs the one loop of
-:func:`sum_of_products` and is normalized once; exp is a product of
-one-term series.  Nothing here touches floating point.
+reads, scalar operands, and the coefficients that `terms` and
+`sorted_terms` hand out.  Named terms, (coefficient, (name, exponent)
+factors) pairs, are read by `GradedRing.element`; `format_terms` prints
+text that `printed_terms` writes from integer numerators.  Each ring
+memoizes the normal form and the text of every monomial it meets, so
+reduction runs once per monomial and ring rather than once per product.
+Every product, sum of products and exp is one integer expansion,
+normalized once.  Nothing here touches floating point.
 
 The Newton bridge between a total Chern class and a Chern character takes
 and returns whole elements and splits graded parts itself;
@@ -144,7 +144,7 @@ class GradedRing:
         self._degrees = tuple(degrees)
         self._index = {name: i for i, name in enumerate(names)}
         self.cutoff = int(cutoff)
-        width = self.cutoff.bit_length() + 1
+        width = self._width = self.cutoff.bit_length() + 1
         self._shifts = tuple(width * i for i in reversed(range(len(names))))
         self._mask = (1 << width) - 1
         self._guard = sum(1 << (shift + width - 1) for shift in self._shifts)
@@ -153,6 +153,8 @@ class GradedRing:
         # every element has an entry.  Entries only ever get added, and two
         # threads filling the same entry store equal values.
         self._memo: dict[int, tuple[int, Optional[NormalForm]]] = {0: (0, None)}
+        # Packed monomial -> (factors, text), filled on first print likewise.
+        self._printed: dict[int, tuple[Factors, str]] = {}
         # One integer row lhs - rhs per relation at or below the cutoff whose
         # sides do not cancel, over no denominator: a row's scale leaves its
         # normal forms alone.  A relation above the cutoff holds identically.
@@ -232,6 +234,11 @@ class GradedRing:
     def _unpack(self, packed: int) -> Monomial:
         return tuple((packed >> shift) & self._mask for shift in self._shifts)
 
+    def _leading_exponent(self, packed: int, count: int) -> int:
+        """Total exponent of the first ``count`` generators: the digit sum
+        of the top fields, read modulo 2^width - 1, which exceeds it."""
+        return (packed >> self._width * (len(self._names) - count)) % self._mask
+
     def basis_monomials(self, degree: int) -> list[Monomial]:
         """All normal monomials of the given total degree."""
         if degree < 0 or degree > self.cutoff:
@@ -243,7 +250,7 @@ class GradedRing:
             if i == n:
                 if remaining == 0:
                     mono = tuple(acc)
-                    if self._entry(self._pack(mono))[1] is None:
+                    if self._entry(self._pack(mono), degree)[1] is None:
                         out.append(mono)
                 return
             step = self._degrees[i]
@@ -278,15 +285,21 @@ class GradedRing:
             coeffs[mono] = coeffs.get(mono, 0) + Fraction(coeff)
         return RingElement(self, coeffs)
 
-    def _entry(self, mono: int) -> tuple[int, Optional[NormalForm]]:
-        """Degree and normal form of a packed monomial at or below the
-        cutoff; the form is None when the monomial is normal.  Fills the
-        memo on first use."""
+    def _entry(self, mono: int, degree: int) -> tuple[int, Optional[NormalForm]]:
+        """Degree and normal form of a packed monomial of that degree at or
+        below the cutoff; the form is None when the monomial is normal.
+        Fills the memo on first use.  A monomial that no relation term
+        divides lies in no row, so it is normal without a block reduced."""
         entry = self._memo.get(mono)
-        if entry is not None:
-            return entry
-        self._reduce_block(mono, self.monomial_degree(self._unpack(mono)))
-        return self._memo[mono]
+        if entry is None:
+            guard = self._guard
+            lifted = mono | guard
+            if any((lifted - t) & guard == guard for r in self._relations for t in r):
+                self._reduce_block(mono, degree)
+                entry = self._memo[mono]
+            else:
+                entry = self._memo[mono] = (degree, None)
+        return entry
 
     def _reduce_block(self, mono: int, degree: int) -> None:
         """Memoize every column of the block of the degree-``degree``
@@ -346,9 +359,10 @@ class GradedRing:
 
     def _expand(self, num: Numerators, den: int, pending: Numerators) -> NormalForm:
         """Canonical form of (num + normal forms of the pending monomials)
-        / den.  ``num`` holds normal monomials only and may be consumed."""
+        / den.  ``num`` holds normal monomials only and may be consumed;
+        every pending monomial is memoized."""
         if pending:
-            forms = [(self._entry(m)[1], c) for m, c in pending.items()]
+            forms = [(self._memo[m][1], c) for m, c in pending.items()]
             scale = lcm(*(form_den for (_, form_den), _ in forms))
             if scale != 1:
                 num = {m: c * scale for m, c in num.items()}
@@ -366,7 +380,10 @@ class GradedRing:
         pending: Numerators = {}
         memo = self._memo
         for mono, c in num.items():
-            form = (memo.get(mono) or self._entry(mono))[1]
+            form = (
+                memo.get(mono)
+                or self._entry(mono, self.monomial_degree(self._unpack(mono)))
+            )[1]
             (normal if form is None else pending)[mono] = c
         return self._expand(normal, den, pending)
 
@@ -437,14 +454,6 @@ class RingElement:
         element._set(ring, num, den)
         return element
 
-    @classmethod
-    def _from_numerators(
-        cls, ring: GradedRing, num: Numerators, den: int
-    ) -> RingElement:
-        """The element ``num / den``, normalized, for any packed monomials
-        at or below the cutoff."""
-        return cls._make(ring, *ring._rewrite(num, den))
-
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
 
@@ -452,18 +461,29 @@ class RingElement:
     def terms(self) -> Mapping[Monomial, Fraction]:
         return _Terms(self.ring, self._num, self._den)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def _sorted(self) -> list[int]:
         # Within a degree, ``sort_key`` order is descending packed order.
-        ring, num, den = self.ring, self._num, self._den
-        memo = ring._memo
-        order = sorted(num, key=lambda m: (memo[m][0], -m))
-        return [(ring._unpack(m), Fraction(num[m], den)) for m in order]
+        memo = self.ring._memo
+        return sorted(self._num, key=lambda m: (memo[m][0], -m))
 
-    def named_terms(self) -> list[tuple[Fraction, Factors]]:
-        """(coefficient, (name, exponent) factors) pairs in ``sort_key``
-        order, as :func:`format_terms` prints them."""
-        factors = self.ring._factors
-        return [(coeff, factors(mono)) for mono, coeff in self.sorted_terms()]
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        unpack, num, den = self.ring._unpack, self._num, self._den
+        return [(unpack(m), Fraction(num[m], den)) for m in self._sorted()]
+
+    def printed_terms(self) -> list[tuple[str, Factors, str]]:
+        """(coefficient text, factors, monomial text) triples in
+        ``sort_key`` order; a coefficient reads as ``str(Fraction)``."""
+        ring, num, den, printed = self.ring, self._num, self._den, self.ring._printed
+        out = []
+        for m in self._sorted():
+            entry = printed.get(m)
+            if entry is None:
+                factors = ring._factors(ring._unpack(m))
+                entry = printed[m] = (factors, format_monomial(factors))
+            g = gcd(num[m], den)
+            coeff = f"{num[m] // g}/{den // g}" if g < den else str(num[m] // g)
+            out.append((coeff, *entry))
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -569,7 +589,7 @@ class RingElement:
         return NotImplemented
 
     def __str__(self):
-        return format_terms(self.named_terms())
+        return format_terms([(c, text) for c, _, text in self.printed_terms()])
 
     def __repr__(self):
         return f"RingElement({self})"
@@ -597,36 +617,42 @@ def sum_of_products(pairs: Sequence[tuple[RingElement, RingElement]]) -> RingEle
             ((memo[m][0], m, c) for m, c in b._num.items()), key=itemgetter(0)
         )
         for ma, ca in a._num.items():
-            room = cutoff - memo[ma][0]
+            start = memo[ma][0]
+            room = cutoff - start
             ca *= scale
             for degree, mb, cb in right:
                 if degree > room:
                     break
                 prod = ma + mb
-                target = num if (memo.get(prod) or entry(prod))[1] is None else pending
+                form = (memo.get(prod) or entry(prod, start + degree))[1]
+                target = num if form is None else pending
                 target[prod] = target.get(prod, 0) + ca * cb
     return RingElement._make(ring, *ring._expand(num, den, pending))
 
 
-def format_terms(terms: Iterable[tuple[Rational, Iterable[tuple[str, int]]]]) -> str:
-    """A polynomial from (coefficient, (name, exponent) factors) terms, in
-    the given order: ``-1/2*D1^2 + D2 - 3``; ``0`` when there are none.
-    A non-constant term drops a unit coefficient, and every exponent other
-    than 1 is written, so factors print as entered."""
+def format_monomial(factors: Iterable[tuple[str, int]]) -> str:
+    """``D1^2*H`` from (name, exponent) factors, printed as entered."""
+    return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in factors)
+
+
+def format_terms(terms: Iterable[tuple[str, str]]) -> str:
+    """A polynomial from (``str(Fraction)``, :func:`format_monomial`) text
+    pairs, in the given order: ``-1/2*D1^2 + D2 - 3``; ``0`` when there are
+    none.  A non-constant term drops a unit coefficient."""
     text = ""
-    for coeff, factors in terms:
-        mono = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in factors)
-        magnitude = abs(coeff)
+    for coeff, mono in terms:
+        negative = coeff.startswith("-")
+        magnitude = coeff[1:] if negative else coeff
         if not mono:
-            body = str(magnitude)
-        elif magnitude == 1:
+            body = magnitude
+        elif magnitude == "1":
             body = mono
         else:
             body = f"{magnitude}*{mono}"
         if text:
-            text += f" - {body}" if coeff < 0 else f" + {body}"
+            text += f" - {body}" if negative else f" + {body}"
         else:
-            text = f"-{body}" if coeff < 0 else body
+            text = f"-{body}" if negative else body
     return text or "0"
 
 
@@ -634,27 +660,40 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     """Exponential sum(a^k / k!) of an element with vanishing degree-0 part.
 
     Finite because a^k has degree at least k, which exceeds the cutoff for
-    large k.  Computed as the product over the terms c m of ``a`` of the
-    series exp(c m) = sum(c^k m^k / k!) for deg(m^k) up to the cutoff, each
-    read in as integer numerators over den^top * top!.  Satisfies
+    large k.  For a = sum_i c_i m_i / den, one dict per degree holds
+    numerators over den^top * top!, top = cutoff, and each term multiplies
+    its series in: an entry v at m adds v c_i^k / (den^k k!) at m + k m_i
+    for each k within the cutoff, as v * c_i // (den * k).  That is exact,
+    since every summand at degree e is c^k_1... den^(top - K) top! / k_1!...
+    with K = k_1 + ... <= e.  Entries merge by monomial, which bounds the
+    work by terms x monomials x (cutoff + 1).  Satisfies
     exp(a) * exp(b) = exp(a + b).
     """
     if 0 in a._num:
         raise ValueError("exp_nilpotent requires a vanishing degree-0 part")
     ring = a.ring
     memo = ring._memo
+    cutoff = ring.cutoff
     den = a._den
-    result = ring.one()
+    scale = den**cutoff * factorial(cutoff)
+    layers: list[Numerators] = [{} for _ in range(cutoff + 1)]
+    layers[0][0] = scale
     for mono, c in a._num.items():
-        top = ring.cutoff // memo[mono][0]
-        num = {
-            k * mono: c**k * den ** (top - k) * (factorial(top) // factorial(k))
-            for k in range(top + 1)
-        }
-        result = result * RingElement._from_numerators(
-            ring, num, den**top * factorial(top)
-        )
-    return result
+        step = memo[mono][0]
+        # Top layer first, so that no entry spawned by this term spawns again.
+        for degree in range(cutoff - step, -1, -1):
+            for m, value in layers[degree].items():
+                for k, grown in enumerate(range(degree + step, cutoff + 1, step), 1):
+                    m += mono
+                    value = value * c // (den * k)
+                    layers[grown][m] = layers[grown].get(m, 0) + value
+    num: Numerators = {}
+    pending: Numerators = {}
+    for degree, layer in enumerate(layers):
+        for m, value in layer.items():
+            form = (memo.get(m) or ring._entry(m, degree))[1]
+            (num if form is None else pending)[m] = value
+    return RingElement._make(ring, *ring._expand(num, scale, pending))
 
 
 def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement, ...]:

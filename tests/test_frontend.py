@@ -72,6 +72,24 @@ def test_parse_unexpected_character():
     assert err.value.diagnostics[0].column == 15
 
 
+@pytest.mark.parametrize("digit", ["²", "³", "①", "٣"])
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("variety X dim {};", 1, 15),
+        ("variety X dim 2;\ndivisor D;\nbundle V rank 1 chern 1 + {}*D;", 3, 27),
+        ("variety X dim 2{};", 1, 16),
+    ],
+)
+def test_non_ascii_digit_is_an_unexpected_character(digit, text, line, column):
+    # Int tokens are ASCII 0-9 only, whether or not int() reads the digit.
+    report = evaluate_text(text.format(digit), "digit.pch")
+    assert report["exit_code"] == 2
+    [diag] = report["diagnostics"]
+    assert diag["message"] == f"unexpected character {digit!r}"
+    assert (diag["line"], diag["column"]) == (line, column)
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ParseError) as err:
         parse_program("variety X dim 1; divisor p; parabolic E = O{p:1/0};")

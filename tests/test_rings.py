@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd
 
+import time
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from parachern.bundles import _conjugate_character
+from parachern.cli import _class_report
 from parachern.chow import Variety, make_cover
 from parachern.rings import (
     GradedRing,
@@ -16,6 +19,7 @@ from parachern.rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
+    format_monomial,
     format_terms,
     sum_of_products,
 )
@@ -166,29 +170,34 @@ def test_element_reduces_through_relations():
 def test_named_terms_follow_sort_key(ring):
     d1, d2, h = (ring.generator(n) for n in ("D1", "D2", "H"))
     x = h * d2 - Fraction(2, 9) * d1 ** 2 + 3 + d2
-    assert x.named_terms() == [
-        (3, ()),
-        (1, (("D2", 1),)),
-        (Fraction(-2, 9), (("D1", 2),)),
-        (1, (("D2", 1), ("H", 1))),
+    assert x.printed_terms() == [
+        ("3", (), ""),
+        ("1", (("D2", 1),), "D2"),
+        ("-2/9", (("D1", 2),), "D1^2"),
+        ("1", (("D2", 1), ("H", 1)), "D2*H"),
     ]
-    assert str(x) == format_terms(x.named_terms()) == "3 + D2 - 2/9*D1^2 + D2*H"
-    assert ring.zero().named_terms() == []
+    printed = [(c, text) for c, _, text in x.printed_terms()]
+    assert str(x) == format_terms(printed) == "3 + D2 - 2/9*D1^2 + D2*H"
+    assert ring.zero().printed_terms() == []
+    # The coefficients and factors read back as named terms.
+    assert ring.element((Fraction(c), f) for c, f, _ in x.printed_terms()) == x
 
 
 def test_format_terms():
     assert format_terms([]) == "0"
     # A negative first term takes a bare minus sign; later ones a spaced one.
-    terms = [(Fraction(-1, 2), [("D1", 2)]), (1, [("D2", 1)]), (-3, [])]
+    terms = [("-1/2", "D1^2"), ("1", "D2"), ("-3", "")]
     assert format_terms(terms) == "-1/2*D1^2 + D2 - 3"
     # Unit coefficients are dropped from monomials but kept on constants.
-    assert format_terms([(-1, [("D1", 1), ("H", 1)]), (1, [])]) == "-D1*H + 1"
-    assert format_terms([(1, ())]) == "1"
-    assert format_terms([(-1, ())]) == "-1"
-    assert format_terms([(Fraction(2, 3), ())]) == "2/3"
+    assert format_terms([("-1", "D1*H"), ("1", "")]) == "-D1*H + 1"
+    assert format_terms([("1", "")]) == "1"
+    assert format_terms([("-1", "")]) == "-1"
+    assert format_terms([("2/3", "")]) == "2/3"
+    assert format_terms([("0", "D1"), ("0", "")]) == "0*D1 + 0"
     # Factors print as given, zero exponents and repeats included.
-    assert format_terms([(1, [("D1", 1), ("D2", 0), ("D1", 1)])]) == "D1*D2^0*D1"
-    assert format_terms([(0, [("D1", 1)]), (0, ())]) == "0*D1 + 0"
+    assert format_monomial([("D1", 1), ("D2", 0), ("D1", 1)]) == "D1*D2^0*D1"
+    assert format_monomial([("D1", 2), ("H", 1)]) == "D1^2*H"
+    assert format_monomial([]) == ""
 
 
 # --- rewrite rules ----------------------------------------------------------
@@ -353,6 +362,20 @@ def test_exp_with_disjoint_divisors(ring):
         + Fraction(1, 8) * d2 ** 2
     )
     assert exp_nilpotent(d1 / 2 + d2 / 2) == expected
+
+
+def test_exp_work_is_bounded_by_merged_monomials():
+    # exp(-log(1 - D)) = 1/(1 - D).  The 60 terms of the argument have
+    # hundreds of thousands of unmerged products below degree 60, but only
+    # 61 monomials, so the merged expansion is quick.
+    ring = GradedRing([("D", 1)], cutoff=60)
+    d = ring.generator("D")
+    log = sum((d**k / k for k in range(1, 61)), ring.zero())
+    started = time.perf_counter()
+    result = exp_nilpotent(log)
+    elapsed = time.perf_counter() - started
+    assert result == sum((d**k for k in range(61)), ring.zero())
+    assert elapsed < 5.0, f"exp took {elapsed:.1f}s"
 
 
 def test_exp_requires_nilpotent(ring):
@@ -643,7 +666,7 @@ def assert_canonical(x):
     assert all(x._num.values())
     for packed in x._num:
         assert ring.monomial_degree(ring._unpack(packed)) <= ring.cutoff
-        assert ring._entry(packed)[1] is None
+        assert ring._memo[packed][1] is None
     if x.is_zero:
         assert x._den == 1
 
@@ -796,3 +819,60 @@ def test_exp_matches_the_plain_series(make_ring, data):
     ring = make_ring()
     a = data.draw(elements(ring).map(lambda x: x - x.graded_part(0)))
     assert exp_nilpotent(a) == series_exp(a)
+
+
+def reference_print(x):
+    """The text and report terms of an element, from ``Fraction``
+    coefficients in ``sort_key`` order."""
+    ring = x.ring
+    text = ""
+    terms = []
+    for mono, coeff in sorted(x.terms.items(), key=lambda t: ring.sort_key(t[0])):
+        factors = [[name, e] for name, e in zip(ring.names, mono) if e]
+        mono_text = "*".join(n if e == 1 else f"{n}^{e}" for n, e in factors)
+        magnitude = abs(coeff)
+        if not mono_text:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = mono_text
+        else:
+            body = f"{magnitude}*{mono_text}"
+        if text:
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+        terms.append({"coefficient": str(coeff), "monomial": factors})
+    return text or "0", terms
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_printer_matches_fraction_reference(make_ring, data):
+    ring = make_ring()
+    x = data.draw(elements(ring))
+    x = x * data.draw(st.fractions(min_value=-7, max_value=7, max_denominator=12))
+    expected = reference_print(x)
+    assert str(x) == expected[0]
+    assert _class_report(x) == expected
+    # A second print reads the ring's memoized monomial texts.
+    assert _class_report(x) == expected
+
+
+def test_normal_monomials_fill_the_memo_without_a_block(monkeypatch):
+    ring = GradedRing(
+        [(n, 1) for n in ("D1", "D2", "D3", "D4", "D5")],
+        cutoff=4,
+        rules=[({"D1": 1, "D2": 1}, [(1, {"D3": 2})])],
+    )
+    blocks = []
+    reduce_block = ring._reduce_block
+    monkeypatch.setattr(
+        ring, "_reduce_block", lambda *args: blocks.append(args) or reduce_block(*args)
+    )
+    d3, d4, d5 = (ring.generator(n) for n in ("D3", "D4", "D5"))
+    # No monomial of D4 * (D4 + D5)^3 is divisible by D1*D2 or D3^2 ...
+    assert not (d4 * (d4 + d5) ** 3).is_zero
+    assert blocks == []
+    # ... but D3^2 is, so its block is reduced once.
+    assert (d3 * d3).terms == {ring.monomial({"D3": 2}): 1}
+    assert len(blocks) == 1
