@@ -3,8 +3,11 @@
 A parabolic bundle here is a finite direct sum of summands, each an
 ordinary bundle class together with a rational weight in [0, 1) per divisor
 component, named as in the variety's ``divisors``.  An ordinary bundle
-class is entered as a total Chern class and stored as its Chern character.
-Each bundle derives its data lazily and at most once, as properties:
+class is entered as a total Chern class and stored as its Chern character;
+the trivial line bundle ``O`` is stored with its character 1 directly,
+through no Newton bridge.  Each summand's twist, exp of its weighted
+divisors, is read by ``GradedRing.element`` from the weights as named
+terms.  Each bundle derives its data lazily and at most once, as properties:
 ``order`` (the cover order), ``character`` and ``classes``, all on the
 base; and, for the verifiers only, ``cover``, the cover of minimal order
 with the character of the bundle induced on it.
@@ -12,9 +15,12 @@ with the character of the bundle induced on it.
 Pullback to the cover is a graded ring isomorphism that commutes with the
 Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
 decides whether the base classes pull back to the cover classes; both
-verifiers report it.  The cover classes themselves, ``cover_classes``, are
-derived only when a verifier needs them: for the residual of a failed
-identity, or to test explicitly given classes.
+verifiers report it.  The cover character pulls back each distinct
+summand class once and twists it by the integers order * w read from the
+weights, never by a pullback of the base twist, so the identity compares
+two independent computations.  The cover classes themselves,
+``cover_classes``, are derived only when a verifier needs them: for the
+residual of a failed identity, or to test explicitly given classes.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ class OrdinaryBundleClass:
 
 
 def trivial_line(ring: GradedRing) -> OrdinaryBundleClass:
-    return OrdinaryBundleClass(1, ring.one())
+    """The trivial line bundle ``O``: total Chern class 1, character 1."""
+    return OrdinaryBundleClass._from_character(1, ring.one())
 
 
 Summand = tuple[OrdinaryBundleClass, tuple[tuple[str, Fraction], ...]]
@@ -211,7 +218,7 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
             map_w = dict(ww)
             wrapped = []
             weights = {}
-            for name in set(map_v) | set(map_w):
+            for name in {**map_v, **map_w}:
                 s = map_v.get(name, Fraction(0)) + map_w.get(name, Fraction(0))
                 if s >= 1:
                     s -= 1
@@ -228,7 +235,8 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
 def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
     """The ordinary bundle class induced on the cover: each summand's
     character is pulled back and twisted by the integer multiples
-    (order * weight) of the cover divisors."""
+    (order * weight) of the cover divisors.  A class that several summands
+    share is pulled back once per call."""
     if cm.base is not E.variety:
         raise ValueError("cover is not over this bundle's variety")
     n = E.order
@@ -237,10 +245,17 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
         )
     ru = cm.cover_ring
+    pulled: dict[OrdinaryBundleClass, RingElement] = {}
     pairs = []
     for bundle, weights in E.summands:
-        twist = ru.element((cm.order * w, {COVER_PREFIX + n: 1}) for n, w in weights)
-        pairs.append((cm.pullback(bundle.character), exp_nilpotent(twist)))
+        if bundle not in pulled:
+            pulled[bundle] = cm.pullback(bundle.character)
+        # Each weight's denominator divides n, so order * w is an integer.
+        twist = ru.element(
+            (cm.order // w.denominator * w.numerator, {COVER_PREFIX + name: 1})
+            for name, w in weights
+        )
+        pairs.append((pulled[bundle], exp_nilpotent(twist)))
     return OrdinaryBundleClass._from_character(E.rank, sum_of_products(pairs))
 
 

@@ -9,6 +9,7 @@ object tables.  Every failure carries a Diagnostic with line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -182,70 +183,57 @@ class SceneAST:
 # Lexer
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
+    """One lexeme: its kind ("name" | "int" | "punct" | "eof"), its text
+    and where it starts."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
     @property
     def pos(self) -> Pos:
         return (self.line, self.column)
 
 
-_PUNCT = set(";,^*+-=/{}:()")
+# One match per lexeme, the blanks before it included; groups by index:
+# 1 newline, 2 comment, 3 int, 4 word, 5 punctuation, 6 any other
+# non-blank character.  Ints are ASCII digits only: int() takes some other
+# digits ('٣') but not all ('²').  ``\w`` is exactly ``isalnum()`` or
+# ``_``; a word is a name only if it starts with ``isalpha()`` or ``_``.
+# No group matches a blank, so trailing blanks make no match.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|([0-9]+)|(\w+)|(\(\+\)|[;,^*+\-=/{}:()])|([^ \t\r\n]))"
+)
+_KINDS = (None, None, None, "int", "name", "punct")
 
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        group = match.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        # ASCII only; int() takes some other digits ('٣') but not all ('²').
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("(+)", i):
-            tokens.append(Token("punct", "(+)", line, col))
-            i += 3
-            col += 3
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(
-            [Diagnostic("error", f"unexpected character {ch!r}", line, col)]
-        )
-    tokens.append(Token("eof", "", line, col))
+            line_start = match.end()
+        elif group > 2:
+            lexeme = match.group(group)
+            column = match.start(group) - line_start + 1
+            if group == 6 or (
+                group == 4 and not (lexeme[0].isalpha() or lexeme[0] == "_")
+            ):
+                message = f"unexpected character {lexeme[0]!r}"
+                raise ParseError([Diagnostic("error", message, line, column)])
+            tokens.append(Token(_KINDS[group], lexeme, line, column))
+    # A comment does not advance the column: eof sits where a comment that
+    # ends the text starts.  The first '#' on a line starts its comment.
+    comment = text.find("#", line_start)
+    end = len(text) if comment < 0 else comment
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -258,8 +246,9 @@ class _Parser:
         self._tokens = tokens
         self._i = 0
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._i + ahead, len(self._tokens) - 1)]
+    # The cursor indexes the token list directly: it never moves past eof.
+    def _peek(self) -> Token:
+        return self._tokens[self._i]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._i]

@@ -11,20 +11,26 @@ Inside a ring each monomial is one packed int: exponent i in a field of
 ``cutoff.bit_length() + 1`` bits, generator 0 most significant, so int
 order is exponent-tuple order and a product of monomials is one addition.
 No exponent at or below the cutoff reaches its field's top (guard) bit, so
-divisibility is one subtraction.  Tuples are packed on the way in, once
-monomials above the cutoff are dropped, and unpacked on the way out.
+divisibility is one subtraction.  One reader packs every monomial on the
+way in: `GradedRing.element` reads named terms, (coefficient, (name,
+exponent) factors) pairs, and `RingElement(ring, terms)` hands it each
+exponent tuple as named factors.  Each factor adds its exponent into its
+field and its degree into the term's degree in one pass; a term above the
+cutoff is dropped once all its factors are checked.  Monomials are
+unpacked on the way out.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
-only at the API: in constructor input, the coefficients `GradedRing.element`
-reads, scalar operands, and the coefficients that `terms` and
-`sorted_terms` hand out.  Named terms, (coefficient, (name, exponent)
-factors) pairs, are read by `GradedRing.element`; `format_terms` prints
-text that `printed_terms` writes from integer numerators.  Each ring
-memoizes the normal form and the text of every monomial it meets, so
-reduction runs once per monomial and ring rather than once per product.
-Every product, sum of products and exp is one integer expansion,
-normalized once.  Nothing here touches floating point.
+only at the API: in rule coefficients, scalar operands, the coefficients
+that `terms` and `sorted_terms` hand out, and any `Fraction` coefficient
+handed to the reader, which reads its numerator and denominator and builds
+no second one; an int stays an int, and any other number becomes one
+`Fraction`.  `format_terms` prints text that `printed_terms` writes from
+integer numerators.  Each ring memoizes the normal form and the text of
+every monomial it meets, so reduction runs once per monomial and ring
+rather than once per product.  Every product, sum of products and exp is
+one integer expansion, normalized once.  Nothing here touches floating
+point.
 
 The Newton bridge between a total Chern class and a Chern character takes
 and returns whole elements and splits graded parts itself;
@@ -146,6 +152,8 @@ class GradedRing:
         self.cutoff = int(cutoff)
         width = self._width = self.cutoff.bit_length() + 1
         self._shifts = tuple(width * i for i in reversed(range(len(names))))
+        # Generator name -> (field shift, degree), for the one-pass reader.
+        self._fields = dict(zip(names, zip(self._shifts, degrees)))
         self._mask = (1 << width) - 1
         self._guard = sum(1 << (shift + width - 1) for shift in self._shifts)
         # Packed monomial at or below the cutoff -> (degree, normal form),
@@ -278,12 +286,53 @@ class GradedRing:
 
     def element(self, terms: Iterable[tuple[Rational, MonoSpec]]) -> RingElement:
         """The sum of (coefficient, monomial spec) terms, normalized once.
-        Repeated monomials add up; an unknown name raises ``KeyError``."""
-        coeffs: dict[Monomial, Fraction] = {}
+        Repeated monomials and repeated factors add up.  Every term is
+        checked, one above the cutoff too: an unknown name raises
+        ``KeyError`` and a negative exponent ``ValueError``."""
+        return RingElement._make(self, *self._read(terms))
+
+    def _read(self, terms: Iterable[tuple[Rational, MonoSpec]]) -> NormalForm:
+        """Canonical form of named terms, read in one pass: each factor adds
+        its exponent's field and degree, a term above the cutoff is dropped
+        once all its factors are checked, and each coefficient's numerator
+        joins the others over a running common denominator, split into
+        normal and pending monomials at its known degree as
+        :func:`sum_of_products` splits them."""
+        fields = self._fields
+        cutoff = self.cutoff
+        memo = self._memo
+        entry = self._entry
+        num: Numerators = {}
+        pending: Numerators = {}
+        den = 1
         for coeff, spec in terms:
-            mono = self.monomial(spec)
-            coeffs[mono] = coeffs.get(mono, 0) + Fraction(coeff)
-        return RingElement(self, coeffs)
+            packed = degree = 0
+            for name, exp in spec.items() if isinstance(spec, Mapping) else spec:
+                field = fields.get(name)
+                if field is None:
+                    raise KeyError(f"unknown generator {name!r}")
+                exp = int(exp)
+                if exp < 0:
+                    raise ValueError("exponents must be non-negative")
+                # A term at or below the cutoff has no exponent that
+                # reaches its field's guard bit.
+                packed += exp << field[0]
+                degree += exp * field[1]
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            if degree > cutoff:
+                continue
+            d = coeff.denominator
+            if den % d:
+                scale = d // gcd(den, d)
+                for part in (num, pending):
+                    for m in part:
+                        part[m] *= scale
+                den *= scale
+            form = (memo.get(packed) or entry(packed, degree))[1]
+            target = num if form is None else pending
+            target[packed] = target.get(packed, 0) + coeff.numerator * (den // d)
+        return self._expand(num, den, pending)
 
     def _entry(self, mono: int, degree: int) -> tuple[int, Optional[NormalForm]]:
         """Degree and normal form of a packed monomial of that degree at or
@@ -423,7 +472,9 @@ class RingElement:
     Immutable after construction; equality is exact equality of term maps
     within the same ring.  Arithmetic accepts ``int`` and ``Fraction``
     scalars on either side.  Constructed from a map of exponent tuples to
-    coefficients; terms above the cutoff are dropped.
+    coefficients, read by the ring's one reader; terms above the cutoff are
+    dropped, and a tuple with the wrong number of exponents or a negative
+    one raises ``ValueError``.
 
     The terms are held as integer numerators ``_num`` by packed monomial
     over one denominator ``_den``, in canonical form: ``_den > 0``, the gcd
@@ -435,11 +486,18 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Rational]):
-        degree, cutoff, pack = ring.monomial_degree, ring.cutoff, ring._pack
-        num, den = _over_common_denominator(
-            {pack(m): Fraction(c) for m, c in terms.items() if degree(m) <= cutoff}
-        )
-        self._set(ring, *ring._rewrite(num, den))
+        names = ring.names
+
+        def named():
+            for mono, coeff in terms.items():
+                if len(mono) != len(names):
+                    raise ValueError(
+                        f"monomial {mono!r} needs one exponent per generator, "
+                        f"{len(names)} in all"
+                    )
+                yield coeff, zip(names, mono)
+
+        self._set(ring, *ring._read(named()))
 
     def _set(self, ring: GradedRing, num: Numerators, den: int):
         object.__setattr__(self, "ring", ring)

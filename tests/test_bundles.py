@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from parachern.chow import Variety, integrate, make_cover
+from parachern.chow import CoverModel, Variety, integrate, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
@@ -17,8 +17,14 @@ from parachern.bundles import (
     tensor,
     trivial_line,
 )
-from parachern.rings import InputError, chern_from_character, exp_nilpotent
+from parachern.rings import (
+    InputError,
+    character_from_chern,
+    chern_from_character,
+    exp_nilpotent,
+)
 from proj_bundle_oracle import pushdown
+from test_rings import RING_FACTORIES
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +55,14 @@ def worked_example(surface):
 
 
 # --- construction and bookkeeping -------------------------------------------
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+def test_trivial_line_has_the_character_of_chern_class_one(make_ring):
+    ring = make_ring()
+    line = trivial_line(ring)
+    assert line.rank == 1
+    assert line.character == character_from_chern(ring.one(), 1)
 
 
 def test_ordinary_bundle_validation(surface):
@@ -224,6 +238,30 @@ def test_cover_bundle_requires_compatible_order(surface):
     # any multiple of the bundle's own order works
     up = cover_bundle(E, make_cover(surface, 6))
     assert up.rank == 2
+
+
+def test_cover_character_sums_the_summands(surface, monkeypatch):
+    # V{D1:1/2} (+) V{D1:1/3} (+) O{}: the class V is pulled back once and
+    # serves both of its summands, each with its own cover twist.
+    ring = surface.ring
+    d1 = ring.generator("D1")
+    V = OrdinaryBundleClass(2, 1 + d1 + d1 ** 2)
+    O = trivial_line(ring)
+    E = ParabolicBundle(
+        surface,
+        ((V, {"D1": Fraction(1, 2)}), (V, {"D1": Fraction(1, 3)}), (O, {})),
+    )
+    cm = make_cover(surface, 6)
+    t = cm.divisor("D1")
+    up = cm.pullback(V.character)
+    expected = up * exp_nilpotent(3 * t) + up * exp_nilpotent(2 * t) + 1
+    pulled = []
+    pullback = CoverModel.pullback
+    monkeypatch.setattr(
+        CoverModel, "pullback", lambda cm, a: pulled.append(a) or pullback(cm, a)
+    )
+    assert cover_bundle(E, cm).character == expected
+    assert pulled == [V.character, O.character]
 
 
 # --- Chern data --------------------------------------------------------------

@@ -1,8 +1,11 @@
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from parachern.bundles import OrdinaryBundleClass, ParabolicBundle
 from parachern.chow import integrate
@@ -14,11 +17,14 @@ from parachern.frontend import (
     ParabolicDecl,
     ParseError,
     VarietyDecl,
+    _lex,
     elaborate,
     format_program,
     parse_program,
 )
 from parachern.scenegen import random_scene_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 WORKED = (
     "variety X dim 2; divisor D1; "
@@ -88,6 +94,103 @@ def test_non_ascii_digit_is_an_unexpected_character(digit, text, line, column):
     [diag] = report["diagnostics"]
     assert diag["message"] == f"unexpected character {digit!r}"
     assert (diag["line"], diag["column"]) == (line, column)
+
+
+def reference_lex(text):
+    """The token stream of a plain character-by-character lexer, as
+    (kind, text, line, column) tuples, or the (message, line, column) of
+    its error."""
+    tokens = []
+    line, col, i, n = 1, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch in " \t\r":
+            i, col = i + 1, col + 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch.isalpha() or ch == "_" or "0" <= ch <= "9":
+            j = i + 1
+            if "0" <= ch <= "9":
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+            else:
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            kind = "int" if "0" <= ch <= "9" else "name"
+            tokens.append((kind, text[i:j], line, col))
+            i, col = j, col + j - i
+        elif text.startswith("(+)", i):
+            tokens.append(("punct", "(+)", line, col))
+            i, col = i + 3, col + 3
+        elif ch in ";,^*+-=/{}:()":
+            tokens.append(("punct", ch, line, col))
+            i, col = i + 1, col + 1
+        else:
+            return (f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def lexed(text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in _lex(text)]
+    except ParseError as exc:
+        [diag] = exc.diagnostics
+        return (diag.message, diag.line, diag.column)
+
+
+def test_lexer_matches_reference_on_scenes():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.rglob("*.pch"))]
+    texts += [random_scene_text(random.Random(seed)) for seed in range(100)]
+    for text in texts:
+        assert lexed(text) == reference_lex(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A comment does not advance the column.
+        (
+            "variety X dim 2 # c",
+            [
+                ("name", "variety", 1, 1),
+                ("name", "X", 1, 9),
+                ("name", "dim", 1, 11),
+                ("int", "2", 1, 15),
+                ("eof", "", 1, 17),
+            ],
+        ),
+        # A name continues with isalnum() or '_'.
+        (
+            "a² b٣ _x1",
+            [("name", "a²", 1, 1), ("name", "b٣", 1, 4), ("name", "_x1", 1, 7)]
+            + [("eof", "", 1, 10)],
+        ),
+        (
+            "(+)( + )",
+            [("punct", "(+)", 1, 1), ("punct", "(", 1, 4), ("punct", "+", 1, 6)]
+            + [("punct", ")", 1, 8), ("eof", "", 1, 9)],
+        ),
+        ("12ab", [("int", "12", 1, 1), ("name", "ab", 1, 3), ("eof", "", 1, 5)]),
+        ("x \t\r\n  ", [("name", "x", 1, 1), ("eof", "", 2, 3)]),
+        # A name starts with isalpha() or '_'; ints are ASCII 0-9 only.
+        ("x ²", ("unexpected character '²'", 1, 3)),
+        ("①", ("unexpected character '①'", 1, 1)),
+        ("٣x", ("unexpected character '٣'", 1, 1)),
+        ("a\x0bb", ("unexpected character '\\x0b'", 1, 2)),
+        ("a\xa0b", ("unexpected character '\\xa0'", 1, 2)),
+    ],
+)
+def test_lexer_edge_cases(text, expected):
+    assert lexed(text) == expected == reference_lex(text)
+
+
+@given(st.text(alphabet="aZé_09²①٣ \t\r\n#;,^*+-=/{}:().$\x0b", max_size=40))
+def test_lexer_matches_reference_on_any_text(text):
+    assert lexed(text) == reference_lex(text)
 
 
 def test_parse_zero_denominator():

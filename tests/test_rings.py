@@ -3,6 +3,7 @@ from itertools import product
 from math import comb, factorial, gcd
 
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,31 @@ def test_element_reads_named_terms(ring):
     assert ring.element([(1, {"D1": 3}), (4, [("H", 1), ("H", 2)])]).is_zero
     with pytest.raises(KeyError, match="unknown generator 'Q'"):
         ring.element([(1, {"Q": 1})])
+
+
+def test_every_term_is_checked_before_the_cutoff_drops_it(ring):
+    # D1^3 lies above the cutoff 2, yet its other factors are still read.
+    with pytest.raises(KeyError, match="unknown generator 'Q'"):
+        ring.element([(1, {"D1": 3, "Q": 1})])
+    with pytest.raises(KeyError, match="unknown generator 'Q'"):
+        ring.element([(0, [("Q", 5)])])
+    with pytest.raises(ValueError, match="non-negative"):
+        ring.element([(1, [("D1", 3), ("H", -1)])])
+
+
+@pytest.mark.parametrize(
+    "mono, message",
+    [
+        ((1, -1), "non-negative"),
+        ((1,), "one exponent per generator"),
+        ((1, 0, 5), "one exponent per generator"),
+        ((0, -1), "non-negative"),
+    ],
+)
+def test_constructor_rejects_malformed_exponent_tuples(mono, message):
+    ring = GradedRing([("A", 1), ("B", 1)], 3)
+    with pytest.raises(ValueError, match=message):
+        RingElement(ring, {mono: 1})
 
 
 def test_element_reduces_through_relations():
@@ -694,6 +720,50 @@ def test_kernel_matches_reference_rewrite(make_ring, data):
         assert dict(a.graded_part(k).terms) == reference_normalize(
             ring, {m: c for m, c in nf_a.items() if ring.monomial_degree(m) == k}
         )
+
+
+def cover_ring(ring, order=6):
+    """The cover ring of the given order over a ring whose generators all
+    have degree 1, each read as a divisor: names gain the ``~`` prefix and
+    relation rows are transported as :func:`make_cover` transports them."""
+    base = SimpleNamespace(ring=ring, divisors=ring.names, dim=ring.cutoff)
+    return make_cover(base, order).cover_ring
+
+
+@st.composite
+def named_terms(draw, ring):
+    """(raw term map, the same terms as ``GradedRing.element`` input): each
+    monomial written as named factors in any order, as a mapping or as
+    (name, exponent) pairs, and as pairs one repeated name may split into
+    two factors; whole coefficients come as ints."""
+    raw = draw(raw_terms(ring))
+    terms = []
+    for mono, coeff in raw.items():
+        factors = [(name, e) for name, e in zip(ring.names, mono) if e]
+        factors = draw(st.permutations(factors))
+        if factors and draw(st.booleans()):
+            name, e = factors[0]
+            part = draw(st.integers(min_value=0, max_value=e))
+            factors = [(name, part), *factors[1:], (name, e - part)]
+        elif draw(st.booleans()):
+            factors = dict(factors)
+        if coeff.denominator == 1 and draw(st.booleans()):
+            coeff = int(coeff)
+        terms.append((coeff, factors))
+    return raw, terms
+
+
+@pytest.mark.parametrize("on_cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_element_reader_matches_reference_rewrite(make_ring, on_cover, data):
+    ring = make_ring()
+    if on_cover:
+        ring = cover_ring(ring)
+    raw, terms = data.draw(named_terms(ring))
+    x = ring.element(terms)
+    assert dict(x.terms) == reference_normalize(ring, raw)
+    assert_canonical(x)
 
 
 def test_dense_ring_matches_reference_rewrite():
