@@ -25,7 +25,6 @@ residual of a failed identity, or to test explicitly given classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -36,6 +35,7 @@ from .rings import (
     GradedRing,
     InputError,
     Rational,
+    Record,
     RingElement,
     character_from_chern,
     chern_from_character,
@@ -46,19 +46,26 @@ from .rings import (
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class OrdinaryBundleClass:
+class OrdinaryBundleClass(Record):
     """A rank together with a Chern character.
 
     Entered as a total Chern class whose degree-0 part is 1 and whose
     graded parts vanish above min(rank, cutoff); stored as its Chern
     character, which is what sum, dual, tensor and the cover twist act on.
     The bridge :func:`character_from_chern` checks the rank and the total
-    Chern class.
+    Chern class.  Immutable; compares and hashes by identity.
     """
 
-    rank: int
-    character: RingElement
+    # ``character`` lives in the instance dict, not in a slot: the
+    # benchmark tracer (perfbench/tracer.py) wraps whatever the class holds
+    # under that name as a method, so a slot descriptor there would be
+    # replaced and ``bundle.character`` would read a function.
+    __slots__ = ("rank", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def _fields(self) -> list[str]:
+        return ["rank", "character"]
 
     def __init__(self, rank: int, total_chern: RingElement):
         character = character_from_chern(total_chern, rank)
@@ -87,8 +94,7 @@ def trivial_line(ring: GradedRing) -> OrdinaryBundleClass:
 Summand = tuple[OrdinaryBundleClass, tuple[tuple[str, Fraction], ...]]
 
 
-@dataclass(frozen=True, eq=False)
-class ParabolicBundle:
+class ParabolicBundle(Record):
     """A weighted sum of bundle classes over one variety.
 
     Each summand carries a map divisor -> weight with weights exact
@@ -96,18 +102,21 @@ class ParabolicBundle:
     omitted divisors have weight 0, zero entries are dropped, and a divisor
     may carry at most one weight per summand.  A failed weight check raises
     :class:`InputError` with the path ``("summands", summand, entry)``.
+    Immutable; compares and hashes by identity.  The instance dict holds
+    the derived data of the cached properties below.
     """
 
-    variety: Variety
-    summands: tuple[Summand, ...]
+    __slots__ = ("variety", "summands", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, variety: Variety, summands: tuple[Summand, ...]):
+        if not summands:
             raise ValueError("a parabolic bundle needs at least one summand")
-        divisor_order = {name: i for i, name in enumerate(self.variety.divisors)}
+        divisor_order = {name: i for i, name in enumerate(variety.divisors)}
         canonical: list[Summand] = []
-        for index, (bundle, weights) in enumerate(self.summands):
-            if bundle.ring is not self.variety.ring:
+        for index, (bundle, weights) in enumerate(summands):
+            if bundle.ring is not variety.ring:
                 raise ValueError("summand bundle lives on a different variety")
             items = weights.items() if isinstance(weights, Mapping) else weights
             cleaned: dict[str, Fraction] = {}
@@ -123,6 +132,7 @@ class ParabolicBundle:
                 cleaned[name] = w
             ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])
             canonical.append((bundle, tuple(kv for kv in ordered if kv[1])))
+        object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "summands", tuple(canonical))
 
     @property

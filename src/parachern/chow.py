@@ -12,7 +12,6 @@ same way.  This pullback is a graded ring isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -20,6 +19,7 @@ from .rings import (
     GradedRing,
     InputError,
     Monomial,
+    Record,
     RingElement,
     RingMismatchError,
     RuleSpec,
@@ -37,8 +37,7 @@ class MissingIntegralError(ValueError):
         self.monomial = monomial
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Variety:
+class Variety(Record):
     """A variety's Chow-ring model and its table of integrals.
 
     The ring has the ``divisors`` as degree-1 generators, then the
@@ -51,11 +50,13 @@ class Variety:
     one that a relation rewrites or kills would give the degree functional
     two values.  A failed integral check raises :class:`InputError` with
     the path ``("integrals", index)``.
+
+    Immutable; compares and hashes by identity, and takes weak references.
     """
 
-    ring: GradedRing
-    divisors: tuple[str, ...]
-    integral_table: dict[Monomial, Fraction]
+    __slots__ = ("ring", "divisors", "integral_table", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -115,14 +116,19 @@ def integrate(variety: Variety, a: RingElement) -> Fraction:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class CoverModel:
+class CoverModel(Record):
     """A formal cover of order N: divisor generators renamed with a tilde
-    prefix, every base relation transported under D -> N * ~D."""
+    prefix, every base relation transported under D -> N * ~D.  Immutable;
+    compares and hashes by identity."""
 
-    base: Variety
-    order: int
-    cover_ring: GradedRing
+    __slots__ = ("base", "order", "cover_ring")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, base: Variety, order: int, cover_ring: GradedRing):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cover_ring", cover_ring)
 
     def divisor(self, base_name: str) -> RingElement:
         """The cover-ring divisor generator lying over a base divisor."""

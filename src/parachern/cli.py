@@ -3,15 +3,15 @@
 Evaluates a scene file (or a batch of generated random scenes), runs its
 compute and verify commands, and emits a text or JSON report.  Exit codes:
 0 all commands ran and every verification passed, 1 a verification failed,
-2 parse error, 3 semantic error (including unreadable files and missing
-integrals).  Reports are deterministic for fixed inputs and seed; timing
-figures are only included when requested so that JSON output is stable.
+2 parse error, 3 semantic error (including unreadable files, files that
+are not UTF-8, and missing integrals).  Reports are deterministic for fixed
+inputs and seed; timing figures are only included when requested so that
+JSON output is stable.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -167,7 +167,15 @@ def _error_report(source: str, error: SceneError) -> dict:
         "source": source,
         "status": "parse_error" if parse else "semantic_error",
         "exit_code": EXIT_PARSE_ERROR if parse else EXIT_SEMANTIC_ERROR,
-        "diagnostics": [dataclasses.asdict(d) for d in error.diagnostics],
+        "diagnostics": [
+            {
+                "severity": d.severity,
+                "message": d.message,
+                "line": d.line,
+                "column": d.column,
+            }
+            for d in error.diagnostics
+        ],
     }
 
 
@@ -340,6 +348,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_error(exc: OSError | UnicodeDecodeError) -> Diagnostic:
+    """The diagnostic of a scene file that cannot be read; a file that is
+    not UTF-8 is positioned at its first bad byte, the column counted in
+    characters as the lexer counts it."""
+    if isinstance(exc, OSError):
+        return Diagnostic("error", f"cannot read file: {exc}", 1, 1)
+    head = exc.object[: exc.start]
+    line_start = head.rfind(b"\n") + 1
+    column = len(head[line_start:].decode("utf-8")) + 1
+    message = (
+        f"file is not valid UTF-8: {exc.reason} "
+        f"(byte {exc.object[exc.start]:#04x})"
+    )
+    return Diagnostic("error", message, head.count(b"\n") + 1, column)
+
+
 def run(argv=None, *, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -361,9 +385,8 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
     path = Path(inputs[0])
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        error = SceneError([Diagnostic("error", f"cannot read file: {exc}", 1, 1)])
-        report = _error_report(path.name, error)
+    except (OSError, UnicodeDecodeError) as exc:
+        report = _error_report(path.name, SceneError([_read_error(exc)]))
     else:
         report = evaluate_text(
             text,

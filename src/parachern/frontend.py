@@ -10,13 +10,12 @@ object tables.  Every failure carries a Diagnostic with line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
 from .chow import Variety
-from .rings import Factors, InputError, format_monomial, format_terms
+from .rings import Factors, InputError, Record, format_monomial, format_terms
 
 # Command kinds by action, each with the number of names it takes.
 COMMANDS = {
@@ -39,13 +38,18 @@ STATEMENT_KEYWORDS = (
 
 Pos = tuple[int, int]
 
+# Records assign their fields through this; assignment on one raises.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    message: str
-    line: int
-    column: int
+
+class Diagnostic(Record):
+    __slots__ = ("severity", "message", "line", "column")
+
+    def __init__(self, severity: str, message: str, line: int, column: int):
+        _set(self, "severity", severity)
+        _set(self, "message", message)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
@@ -69,97 +73,124 @@ class ElaborationError(SceneError):
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Immutable records; equality and hashing ignore ``pos``, so a node compares
+# equal to the node parsed back from its printed text.
 
 
-@dataclass(frozen=True)
-class MonoFactor:
-    name: str
-    exponent: int
-    pos: Pos = field(compare=False)
+class MonoFactor(Record):
+    __slots__ = ("name", "exponent", "pos")
+
+    def __init__(self, name: str, exponent: int, pos: Pos):
+        _set(self, "name", name)
+        _set(self, "exponent", exponent)
+        _set(self, "pos", pos)
 
 
 MonoAST = tuple[MonoFactor, ...]
 
 
-@dataclass(frozen=True)
-class PolyTerm:
-    coeff: Fraction
-    factors: MonoAST
-    pos: Pos = field(compare=False)
+class PolyTerm(Record):
+    __slots__ = ("coeff", "factors", "pos")
+
+    def __init__(self, coeff: Fraction, factors: MonoAST, pos: Pos):
+        _set(self, "coeff", coeff)
+        _set(self, "factors", factors)
+        _set(self, "pos", pos)
 
 
 PolyAST = tuple[PolyTerm, ...]
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    divisor: str
-    value: Fraction
-    pos: Pos = field(compare=False)
+class WeightEntry(Record):
+    __slots__ = ("divisor", "value", "pos")
+
+    def __init__(self, divisor: str, value: Fraction, pos: Pos):
+        _set(self, "divisor", divisor)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SummandAST:
-    bundle: str
-    weights: tuple[WeightEntry, ...]
-    pos: Pos = field(compare=False)
+class SummandAST(Record):
+    __slots__ = ("bundle", "weights", "pos")
+
+    def __init__(self, bundle: str, weights: tuple[WeightEntry, ...], pos: Pos):
+        _set(self, "bundle", bundle)
+        _set(self, "weights", weights)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class VarietyDecl:
-    name: str
-    dim: int
-    pos: Pos = field(compare=False)
+class VarietyDecl(Record):
+    __slots__ = ("name", "dim", "pos")
+
+    def __init__(self, name: str, dim: int, pos: Pos):
+        _set(self, "name", name)
+        _set(self, "dim", dim)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class DivisorDecl:
-    names: tuple[str, ...]
-    pos: Pos = field(compare=False)
+class DivisorDecl(Record):
+    __slots__ = ("names", "pos")
+
+    def __init__(self, names: tuple[str, ...], pos: Pos):
+        _set(self, "names", names)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
-    name: str
-    degree: int
-    pos: Pos = field(compare=False)
+class ClassDecl(Record):
+    __slots__ = ("name", "degree", "pos")
+
+    def __init__(self, name: str, degree: int, pos: Pos):
+        _set(self, "name", name)
+        _set(self, "degree", degree)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class RelationDecl:
-    lhs: MonoAST
-    rhs: PolyAST
-    pos: Pos = field(compare=False)
+class RelationDecl(Record):
+    __slots__ = ("lhs", "rhs", "pos")
+
+    def __init__(self, lhs: MonoAST, rhs: PolyAST, pos: Pos):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class IntegralDecl:
-    mono: MonoAST
-    value: Fraction
-    pos: Pos = field(compare=False)
+class IntegralDecl(Record):
+    __slots__ = ("mono", "value", "pos")
+
+    def __init__(self, mono: MonoAST, value: Fraction, pos: Pos):
+        _set(self, "mono", mono)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BundleDecl:
-    name: str
-    rank: int
-    chern: PolyAST
-    pos: Pos = field(compare=False)
+class BundleDecl(Record):
+    __slots__ = ("name", "rank", "chern", "pos")
+
+    def __init__(self, name: str, rank: int, chern: PolyAST, pos: Pos):
+        _set(self, "name", name)
+        _set(self, "rank", rank)
+        _set(self, "chern", chern)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ParabolicDecl:
-    name: str
-    summands: tuple[SummandAST, ...]
-    pos: Pos = field(compare=False)
+class ParabolicDecl(Record):
+    __slots__ = ("name", "summands", "pos")
+
+    def __init__(self, name: str, summands: tuple[SummandAST, ...], pos: Pos):
+        _set(self, "name", name)
+        _set(self, "summands", summands)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class CommandDecl:
-    action: str
-    kind: str
-    names: tuple[str, ...]
-    pos: Pos = field(compare=False)
+class CommandDecl(Record):
+    __slots__ = ("action", "kind", "names", "pos")
+
+    def __init__(self, action: str, kind: str, names: tuple[str, ...], pos: Pos):
+        _set(self, "action", action)
+        _set(self, "kind", kind)
+        _set(self, "names", names)
+        _set(self, "pos", pos)
 
 
 Statement = (
@@ -174,9 +205,11 @@ Statement = (
 )
 
 
-@dataclass(frozen=True)
-class SceneAST:
-    statements: tuple[Statement, ...]
+class SceneAST(Record):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple[Statement, ...]):
+        _set(self, "statements", statements)
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +543,23 @@ def format_program(ast: SceneAST) -> str:
 # Elaborator
 
 
-@dataclass
 class Scene:
-    variety: Variety
-    parabolics: dict[str, ParabolicBundle]
-    commands: list[CommandDecl]
-    # Where each parabolic bundle is declared.
-    positions: dict[str, Pos]
+    """An elaborated scene: its variety, its parabolic bundles by name, its
+    commands, and where each parabolic bundle is declared."""
+
+    __slots__ = ("variety", "parabolics", "commands", "positions")
+
+    def __init__(
+        self,
+        variety: Variety,
+        parabolics: dict[str, ParabolicBundle],
+        commands: list[CommandDecl],
+        positions: dict[str, Pos],
+    ):
+        self.variety = variety
+        self.parabolics = parabolics
+        self.commands = commands
+        self.positions = positions
 
 
 def _fail(message: str, pos: Pos):

@@ -33,27 +33,30 @@ coefficients evaluated, in time linear in the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bundles import ParabolicBundle, direct_sum, dual, relation_classes, tensor
-from .rings import RingElement, sum_of_products
+from .rings import Record, RingElement, sum_of_products
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     """``residual`` holds the reduced relation's coefficients over the
     cover ring, in the basis 1, h, ..., h^(rank-1)."""
 
-    passed: bool
-    residual: tuple[RingElement, ...]
+    __slots__ = ("passed", "residual")
+
+    def __init__(self, passed: bool, residual: tuple[RingElement, ...]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residual", residual)
 
 
-@dataclass(frozen=True)
-class PairIdentityChecks:
-    whitney: bool
-    dual: bool
-    tensor: bool
+class PairIdentityChecks(Record):
+    __slots__ = ("whitney", "dual", "tensor")
+
+    def __init__(self, whitney: bool, dual: bool, tensor: bool):
+        object.__setattr__(self, "whitney", whitney)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "tensor", tensor)
 
     @property
     def passed(self) -> bool:

@@ -74,6 +74,45 @@ class InputError(ValueError):
         self.path = path
 
 
+class Record:
+    """Base of the package's immutable records.
+
+    ``__slots__`` names a record's fields (a name starting with ``__``,
+    such as ``__weakref__``, is not a field), and its own ``__init__``
+    assigns each one through ``object.__setattr__``: assignment and
+    deletion on an instance raise ``AttributeError``.  Two records of one
+    class are equal, and hash equal, when their fields are, all but
+    ``pos``, the source position of a scene AST node.  A model class that
+    compares by identity restores ``object``'s ``__eq__`` and ``__hash__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if not name.startswith("__")]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields() if name != "pos")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
     if isinstance(spec, Mapping):
         return spec.items()

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,12 @@ from parachern.rings import (
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
+)
+from parachern.grothendieck import (
+    PairIdentityChecks,
+    RelationCheck,
+    verify_pair_identities,
+    verify_relation,
 )
 from proj_bundle_oracle import pushdown
 from test_rings import RING_FACTORIES
@@ -101,6 +108,52 @@ def test_parabolic_validation(surface):
             ),
         )
     assert err.value.path == ("summands", 1, 0)
+
+
+def _model_records(variety):
+    E = worked_example(variety)
+    return [
+        variety,
+        make_cover(variety, 3),
+        E.summands[0][0],
+        E,
+        verify_relation(E),
+        verify_pair_identities(E, E),
+    ]
+
+
+def test_model_records_are_immutable(surface):
+    # Assigning a field, or anything else, raises AttributeError; so does
+    # deleting a field.
+    for record in _model_records(surface):
+        for name in (*record._fields(), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in record._fields():
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_model_classes_compare_by_identity(surface):
+    twin = Variety(2, ("D1",))
+    assert twin != surface and len({twin, surface}) == 2
+    E, F = worked_example(surface), worked_example(surface)
+    assert E != F and E == E and len({E, F, E}) == 2
+    assert E.summands[0][0] != F.summands[0][0]
+    cover = make_cover(surface, 3)
+    assert cover != make_cover(surface, 3) and {cover: 1}[cover] == 1
+    # Varieties take weak references; a bundle's derived data is cached.
+    assert weakref.ref(surface)() is surface
+    assert E.order == 3 and vars(E)["order"] == 3
+
+
+def test_check_results_compare_by_value(surface):
+    E = worked_example(surface)
+    assert verify_pair_identities(E, E) == PairIdentityChecks(True, True, True)
+    assert PairIdentityChecks(True, True, True) != PairIdentityChecks(True, False, True)
+    check = verify_relation(E)
+    assert check == RelationCheck(check.passed, check.residual)
+    assert check != RelationCheck(not check.passed, check.residual)
 
 
 def test_cover_order(surface):

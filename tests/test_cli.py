@@ -235,6 +235,29 @@ def test_unreadable_file():
     assert "cannot read file" in err
 
 
+@pytest.mark.parametrize(
+    "data, line, column",
+    [
+        (b"variety X dim 1;\xff", 1, 17),
+        # Columns count characters, as the lexer's do: \xc3\xa9 is one.
+        (b"variety X dim 1;\n# \xc3\xa9\n  \xc3\xa9 \xc3(", 3, 5),
+    ],
+)
+def test_file_that_is_not_utf8_is_a_positioned_semantic_error(
+    tmp_path, data, line, column
+):
+    scene = tmp_path / "bad.pch"
+    scene.write_bytes(data)
+    code, out, err = run_capture([str(scene)])
+    assert code == 3
+    assert f"bad.pch:{line}:{column}: error: file is not valid UTF-8" in err
+    assert "status: semantic_error" in out
+    code, out, _ = run_capture(["--json", str(scene)])
+    (diagnostic,) = json.loads(out)["diagnostics"]
+    assert code == 3
+    assert (diagnostic["line"], diagnostic["column"]) == (line, column)
+
+
 def test_no_input_is_usage_error():
     code, _, err = run_capture([])
     assert code == 3

@@ -12,7 +12,9 @@ from parachern.chow import integrate
 from parachern.cli import evaluate_text, execute_scene, run
 from parachern.frontend import (
     BundleDecl,
+    ClassDecl,
     CommandDecl,
+    Diagnostic,
     ElaborationError,
     ParabolicDecl,
     ParseError,
@@ -22,6 +24,7 @@ from parachern.frontend import (
     format_program,
     parse_program,
 )
+from parachern.rings import Record
 from parachern.scenegen import random_scene_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,6 +302,75 @@ def test_negative_integral():
     with pytest.raises(ParseError) as err:
         parse_program("variety X dim 1; divisor p; parabolic P = O{p:-1/2};")
     assert err.value.diagnostics[0].message == "expected an integer in a rational"
+
+
+# --- records -----------------------------------------------------------------
+
+EVERY_STATEMENT = (
+    "variety X dim 2;\ndivisor D1, D2;\nclass H deg 1;\n"
+    "relation D1*D2 = 1/2*H^2;\nintegral H^2 = 1;\n"
+    "bundle V rank 2 chern 1 + H;\n"
+    "parabolic E = V{D1:1/3, D2:1/2} (+) O{};\ncompute chern E;\n"
+)
+
+
+def _records(value):
+    """Every record in a parsed value, the value itself first."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _records(item)
+    elif isinstance(value, Record):
+        yield value
+        for name in value.__slots__:
+            yield from _records(getattr(value, name))
+
+
+def _every_record():
+    return [*_records(parse_program(EVERY_STATEMENT)), Diagnostic("error", "m", 1, 2)]
+
+
+def _rebuilt(record, **changes):
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
+def test_every_frontend_record_is_covered():
+    names = {type(r).__name__ for r in _every_record()}
+    assert names == {
+        "SceneAST", "VarietyDecl", "DivisorDecl", "ClassDecl", "RelationDecl",
+        "MonoFactor", "PolyTerm", "IntegralDecl", "BundleDecl", "ParabolicDecl",
+        "SummandAST", "WeightEntry", "CommandDecl", "Diagnostic",
+    }
+
+
+def test_records_equal_up_to_position():
+    for record in _every_record():
+        if "pos" not in record.__slots__:
+            continue
+        moved = _rebuilt(record, pos=(99, 99))
+        assert moved == record and hash(moved) == hash(record)
+        assert moved.pos != record.pos
+
+
+def test_records_differ_in_every_other_field():
+    for record in _every_record():
+        assert _rebuilt(record) == record
+        for name in record.__slots__:
+            if name != "pos":
+                assert _rebuilt(record, **{name: object()}) != record, name
+    # Equal fields in records of different classes do not make them equal.
+    assert VarietyDecl("X", 2, (1, 1)) != ClassDecl("X", 2, (1, 1))
+
+
+def test_records_are_immutable():
+    for record in _every_record():
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 # --- elaboration -------------------------------------------------------------

@@ -169,6 +169,28 @@ def test_every_term_is_checked_before_the_cutoff_drops_it(ring):
 
 
 @pytest.mark.parametrize(
+    "factors",
+    [
+        [("Q", 1)],
+        [("D1", 1), ("Q", 0)],
+        [("D1", -1)],
+        [("D1", 3), ("H", -2)],
+        {"Q": -1},
+        [("D1", -1), ("Q", 1)],
+    ],
+)
+def test_both_factor_readers_reject_bad_factors_alike(ring, factors):
+    # ``monomial`` (rule and integral monomials) and ``element`` (every other
+    # named term) read factors in separate code; their errors must agree.
+    with pytest.raises((KeyError, ValueError)) as by_monomial:
+        ring.monomial(factors)
+    with pytest.raises((KeyError, ValueError)) as by_element:
+        ring.element([(1, factors)])
+    assert type(by_element.value) is type(by_monomial.value)
+    assert str(by_element.value) == str(by_monomial.value)
+
+
+@pytest.mark.parametrize(
     "mono, message",
     [
         ((1, -1), "non-negative"),
