@@ -21,10 +21,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 from parachern import (  # noqa: E402
     ParabolicBundle,
     Variety,
-    chern_character,
     relation_classes,
     trivial_line,
-    verify_cover_pullback,
     verify_relation,
 )
 from proj_bundle_oracle import solve_from_relation  # noqa: E402
@@ -42,7 +40,8 @@ def main() -> int:
     )
     order = E.order
     print(f"cover order          : {order}")
-    print(f"character            : {[str(p) for p in chern_character(E)]}")
+    parts = [E.character.graded_part(k) for k in range(X.dim + 1)]
+    print(f"character            : {[str(p) for p in parts]}")
     print(f"chern classes        : {[str(c) for c in E.classes]}")
     print(f"relation classes     : {[str(c) for c in relation_classes(E)]}")
 
@@ -51,7 +50,7 @@ def main() -> int:
     check = verify_relation(E)
     relation = "PASS" if check.passed else [str(c) for c in check.residual]
     print(f"defining relation    : {relation}")
-    print(f"pullback consistency : {'PASS' if verify_cover_pullback(E) else 'FAIL'}")
+    print(f"pullback consistency : {'PASS' if E.pulls_back_to_cover else 'FAIL'}")
     oracle = solve_from_relation(E) == E.classes
     print(f"read-off oracle      : {'PASS' if oracle else 'FAIL'}")
     return 0

@@ -29,7 +29,6 @@ from .chow import (
 from .bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
-    chern_character,
     cover_bundle,
     direct_sum,
     dual,
@@ -40,7 +39,6 @@ from .bundles import (
 from .grothendieck import (
     PairIdentityChecks,
     RelationCheck,
-    verify_cover_pullback,
     verify_pair_identities,
     verify_relation,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "make_cover",
     "OrdinaryBundleClass",
     "ParabolicBundle",
-    "chern_character",
     "cover_bundle",
     "direct_sum",
     "dual",
@@ -83,7 +80,6 @@ __all__ = [
     "trivial_line",
     "PairIdentityChecks",
     "RelationCheck",
-    "verify_cover_pullback",
     "verify_pair_identities",
     "verify_relation",
     "Diagnostic",

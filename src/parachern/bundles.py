@@ -275,9 +275,3 @@ def relation_classes(E: ParabolicBundle) -> list[RingElement]:
     n = E.order
     r = E.rank
     return [c / Fraction(n) ** (r - i) for i, c in enumerate(E.classes)]
-
-
-def chern_character(E: ParabolicBundle) -> list[RingElement]:
-    """Graded parts 0..cutoff of :attr:`ParabolicBundle.character`."""
-    ch = E.character
-    return [ch.graded_part(k) for k in range(E.ring.cutoff + 1)]

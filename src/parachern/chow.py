@@ -78,18 +78,19 @@ class Variety(Record):
             at = ("integrals", index)
             factors = list(spec.items() if isinstance(spec, Mapping) else spec)
             try:
-                mono = ring.monomial(factors)
-            except KeyError as exc:
+                packed, degree = ring._key(factors)
+            except (KeyError, ValueError) as exc:
                 raise InputError(exc.args[0], *at) from None
-            if ring.monomial_degree(mono) != ring.cutoff:
+            if degree != ring.cutoff:
                 message = f"integral monomial must have degree {ring.cutoff}"
                 raise InputError(message, *at)
             # The monomial as written, e.g. D1*D1 for a repeated D1^2.
             named = format_monomial(factors)
             reduced = ring.element([(1, factors)])
-            if list(reduced.terms) != [mono]:
+            if list(reduced._num) != [packed]:
                 message = f"integral monomial {named} is not normal; it reduces to"
                 raise InputError(f"{message} {reduced}", *at)
+            mono = ring._unpack(packed)
             if mono in table:
                 raise InputError(f"duplicate integral for monomial {named}", *at)
             table[mono] = Fraction(value)

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import grothendieck
-from .bundles import chern_character
 from .chow import MissingIntegralError, integrate
 from .frontend import (
     DEFAULT_MAX_DENOMINATOR,
@@ -78,7 +77,8 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
     if command.kind in ("chern", "ctpoly"):
         classes = bundle.classes
     elif command.kind == "ch":
-        classes = chern_character(bundle)
+        ch = bundle.character
+        classes = [ch.graded_part(k) for k in range(scene.variety.dim + 1)]
     else:
         raise ValueError(f"unknown compute kind {command.kind!r}")
     reports = [_class_report(c) for c in classes]
@@ -119,7 +119,7 @@ def _run_verify(scene: Scene, command: CommandDecl) -> dict:
             None if check.passed else [str(c) for c in check.residual]
         )
     elif command.kind == "corollary1":
-        entry["passed"] = grothendieck.verify_cover_pullback(bundle)
+        entry["passed"] = bundle.pulls_back_to_cover
     else:
         raise ValueError(f"unknown verify kind {command.kind!r}")
     return entry

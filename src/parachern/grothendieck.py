@@ -102,13 +102,6 @@ def _residual(
     return tuple(residual)
 
 
-def verify_cover_pullback(E: ParabolicBundle) -> bool:
-    """Check that the base character pulls back exactly to the character
-    of the bundle induced on the cover, so the base Chern classes pull back
-    to the cover bundle's.  The cover side never reads the base classes."""
-    return E.pulls_back_to_cover
-
-
 def _poly_mul(
     a: Sequence[RingElement], b: Sequence[RingElement]
 ) -> tuple[RingElement, ...]:

@@ -11,13 +11,15 @@ Inside a ring each monomial is one packed int: exponent i in a field of
 ``cutoff.bit_length() + 1`` bits, generator 0 most significant, so int
 order is exponent-tuple order and a product of monomials is one addition.
 No exponent at or below the cutoff reaches its field's top (guard) bit, so
-divisibility is one subtraction.  One reader packs every monomial on the
-way in: `GradedRing.element` reads named terms, (coefficient, (name,
-exponent) factors) pairs, and `RingElement(ring, terms)` hands it each
-exponent tuple as named factors.  Each factor adds its exponent into its
-field and its degree into the term's degree in one pass; a term above the
-cutoff is dropped once all its factors are checked.  Monomials are
-unpacked on the way out.
+divisibility is one subtraction.  One reader, `GradedRing._key`, packs
+every monomial on the way in, given as (name, exponent) factors: each
+factor adds its exponent into its field and its degree into the
+monomial's degree in one pass.  It reads the rule monomials, the integral
+monomials of a `Variety`, and every term of `GradedRing.element`, which
+takes named terms, (coefficient, factors) pairs; `RingElement(ring,
+terms)` hands the same reader each exponent tuple as named factors.  A
+term above the cutoff is dropped once all its factors are checked.
+Monomials are unpacked on the way out.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
@@ -44,6 +46,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -113,12 +116,6 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _as_exponent_items(spec: MonoSpec) -> Iterable[tuple[str, int]]:
-    if isinstance(spec, Mapping):
-        return spec.items()
-    return spec
-
-
 def _over_common_denominator(coeffs: Mapping[int, Fraction]) -> NormalForm:
     """Integer numerators over the least common denominator."""
     den = lcm(*(c.denominator for c in coeffs.values()))
@@ -148,8 +145,10 @@ class GradedRing:
     A bad generator raises :class:`InputError` with the path
     ``("generators", index)``.  A malformed rule raises it with the path
     ``("rules", rule)``, or ``("rules", rule, term)``, terms counted as
-    written, for a term of the wrong degree or with an unknown generator.
-    A rule above the cutoff holds identically and keeps no row.
+    written, for a term of the wrong degree, with an unknown generator or
+    with a negative exponent.  A rule above the cutoff holds identically and
+    keeps no row: only its degree is read, so an exponent that overflows
+    its packed field there does no harm.
 
     The API takes and returns monomials as exponent tuples; inside, each is
     a packed int (see the module docstring), the key of the memo, of the
@@ -187,11 +186,10 @@ class GradedRing:
             raise ValueError("cutoff must be a positive integer")
         self._names = tuple(names)
         self._degrees = tuple(degrees)
-        self._index = {name: i for i, name in enumerate(names)}
         self.cutoff = int(cutoff)
         width = self._width = self.cutoff.bit_length() + 1
         self._shifts = tuple(width * i for i in reversed(range(len(names))))
-        # Generator name -> (field shift, degree), for the one-pass reader.
+        # Generator name -> (field shift, degree), for the one reader.
         self._fields = dict(zip(names, zip(self._shifts, degrees)))
         self._mask = (1 << width) - 1
         self._guard = sum(1 << (shift + width - 1) for shift in self._shifts)
@@ -207,32 +205,31 @@ class GradedRing:
         # normal forms alone.  A relation above the cutoff holds identically.
         self._relations: list[Numerators] = []
 
-        def rule_monomial(spec: MonoSpec, *at: int) -> Monomial:
+        def rule_monomial(spec: MonoSpec, *at: int) -> tuple[int, int]:
             try:
-                return self.monomial(spec)
-            except KeyError as exc:
+                return self._key(spec)
+            except (KeyError, ValueError) as exc:
                 raise InputError(exc.args[0], "rules", *at) from None
 
         for idx, (lhs_spec, rhs_terms) in enumerate(rules):
-            lhs = rule_monomial(lhs_spec, idx)
-            if not any(lhs):
+            lhs, lhs_degree = rule_monomial(lhs_spec, idx)
+            if lhs_degree == 0:
                 raise InputError(
                     "rule left side must be a non-constant monomial", "rules", idx
                 )
-            lhs_degree = self.monomial_degree(lhs)
             row = {lhs: Fraction(1)}
             for term, (coeff, mono_spec) in enumerate(rhs_terms):
                 coeff = Fraction(coeff)
                 if not coeff:
                     continue
-                mono = rule_monomial(mono_spec, idx, term)
-                if self.monomial_degree(mono) != lhs_degree:
+                mono, degree = rule_monomial(mono_spec, idx, term)
+                if degree != lhs_degree:
                     raise InputError(
                         "relation is not degree-homogeneous", "rules", idx, term
                     )
                 row[mono] = row.get(mono, 0) - coeff
             if lhs_degree <= self.cutoff:
-                row = {self._pack(m): c for m, c in row.items() if c}
+                row = {m: c for m, c in row.items() if c}
                 if row:
                     self._relations.append(_over_common_denominator(row)[0])
 
@@ -250,16 +247,24 @@ class GradedRing:
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def monomial(self, spec: MonoSpec) -> Monomial:
-        """Canonical exponent tuple for a {name: exponent} mapping."""
-        exps = [0] * len(self._names)
-        for name, exp in _as_exponent_items(spec):
-            if name not in self._index:
+    def _key(self, spec: MonoSpec) -> tuple[int, int]:
+        """The packed int and the degree of a monomial given as (name,
+        exponent) factors or a {name: exponent} mapping; repeated names add
+        up.  An unknown name raises ``KeyError``, a negative exponent
+        ``ValueError``.  Above the cutoff a field may overflow into the next,
+        so only the degree of such a monomial is meaningful."""
+        fields = self._fields
+        packed = degree = 0
+        for name, exp in spec.items() if isinstance(spec, Mapping) else spec:
+            field = fields.get(name)
+            if field is None:
                 raise KeyError(f"unknown generator {name!r}")
-            if int(exp) < 0:
+            exp = int(exp)
+            if exp < 0:
                 raise ValueError("exponents must be non-negative")
-            exps[self._index[name]] += int(exp)
-        return tuple(exps)
+            packed += exp << field[0]
+            degree += exp * field[1]
+        return packed, degree
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self._degrees))
@@ -331,13 +336,13 @@ class GradedRing:
         return RingElement._make(self, *self._read(terms))
 
     def _read(self, terms: Iterable[tuple[Rational, MonoSpec]]) -> NormalForm:
-        """Canonical form of named terms, read in one pass: each factor adds
-        its exponent's field and degree, a term above the cutoff is dropped
-        once all its factors are checked, and each coefficient's numerator
-        joins the others over a running common denominator, split into
-        normal and pending monomials at its known degree as
-        :func:`sum_of_products` splits them."""
-        fields = self._fields
+        """Canonical form of named terms: each monomial is read by
+        :meth:`_key`, a term above the cutoff is dropped once all its
+        factors are checked, and each coefficient's numerator joins the
+        others over a running common denominator, split into normal and
+        pending monomials at its known degree as :func:`sum_of_products`
+        splits them."""
+        key = self._key
         cutoff = self.cutoff
         memo = self._memo
         entry = self._entry
@@ -345,18 +350,7 @@ class GradedRing:
         pending: Numerators = {}
         den = 1
         for coeff, spec in terms:
-            packed = degree = 0
-            for name, exp in spec.items() if isinstance(spec, Mapping) else spec:
-                field = fields.get(name)
-                if field is None:
-                    raise KeyError(f"unknown generator {name!r}")
-                exp = int(exp)
-                if exp < 0:
-                    raise ValueError("exponents must be non-negative")
-                # A term at or below the cutoff has no exponent that
-                # reaches its field's guard bit.
-                packed += exp << field[0]
-                degree += exp * field[1]
+            packed, degree = key(spec)
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
             if degree > cutoff:
@@ -481,39 +475,15 @@ class GradedRing:
         return f"GradedRing([{gens}], cutoff={self.cutoff}, relations={count})"
 
 
-class _Terms(Mapping):
-    """Read-only view of an element's terms by exponent tuple; unpacks each
-    key and builds each ``Fraction`` on access."""
-
-    __slots__ = ("_ring", "_num", "_den")
-
-    def __init__(self, ring: GradedRing, num: Numerators, den: int):
-        self._ring = ring
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, mono: Monomial) -> Fraction:
-        packed = self._ring._pack(mono)
-        if self._ring._unpack(packed) != mono:
-            raise KeyError(mono)
-        return Fraction(self._num[packed], self._den)
-
-    def __iter__(self):
-        return map(self._ring._unpack, self._num)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-
-class RingElement:
+class RingElement(Record):
     """A normalized element of a :class:`GradedRing`.
 
-    Immutable after construction; equality is exact equality of term maps
-    within the same ring.  Arithmetic accepts ``int`` and ``Fraction``
-    scalars on either side.  Constructed from a map of exponent tuples to
-    coefficients, read by the ring's one reader; terms above the cutoff are
-    dropped, and a tuple with the wrong number of exponents or a negative
-    one raises ``ValueError``.
+    An immutable :class:`Record`, but not a hashable one: equality is exact
+    equality of term maps within the same ring.  Arithmetic accepts ``int``
+    and ``Fraction`` scalars on either side.  Constructed from a map of
+    exponent tuples to coefficients, read by the ring's one reader; terms
+    above the cutoff are dropped, and a tuple with the wrong number of
+    exponents or a negative one raises ``ValueError``.
 
     The terms are held as integer numerators ``_num`` by packed monomial
     over one denominator ``_den``, in canonical form: ``_den > 0``, the gcd
@@ -551,12 +521,13 @@ class RingElement:
         element._set(ring, num, den)
         return element
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
-
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return _Terms(self.ring, self._num, self._den)
+        """A read-only snapshot of the terms by exponent tuple."""
+        unpack, den = self.ring._unpack, self._den
+        return MappingProxyType(
+            {unpack(m): Fraction(c, den) for m, c in self._num.items()}
+        )
 
     def _sorted(self) -> list[int]:
         # Within a degree, ``sort_key`` order is descending packed order.

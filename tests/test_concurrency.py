@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from parachern.grothendieck import verify_cover_pullback, verify_relation
+from parachern.grothendieck import verify_relation
 from parachern.rings import RingElement
 from parachern.scenegen import random_elaborated_scene
 from proj_bundle_oracle import solve_from_relation
@@ -24,7 +24,7 @@ def _bundles(seeds):
 def _work(E):
     return (
         verify_relation(E).passed,
-        verify_cover_pullback(E),
+        E.pulls_back_to_cover,
         [str(c) for c in E.classes],
         [str(c) for c in solve_from_relation(E)],
     )
@@ -62,8 +62,12 @@ def test_elements_are_immutable():
     scene = random_elaborated_scene(random.Random(0))
     ring = scene.variety.ring
     element = ring.generator(ring.names[0])
+    text = str(element)
     with pytest.raises(AttributeError):
         element.ring = None
+    with pytest.raises(AttributeError):
+        del element._num
+    assert str(element) == text
     with pytest.raises(TypeError):
         element.terms[(0,)] = 1  # the terms view rejects writes
     assert isinstance(element, RingElement)

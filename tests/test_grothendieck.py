@@ -13,14 +13,12 @@ from parachern.chow import Variety, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
-    chern_character,
     relation_classes,
     tensor,
     trivial_line,
 )
 from parachern.cli import evaluate_text, execute_scene
 from parachern.grothendieck import (
-    verify_cover_pullback,
     verify_pair_identities,
     verify_relation,
 )
@@ -242,7 +240,6 @@ def test_cover_identity_decides_the_class_identity(seed, rank_max, rng):
                 cm.pullback(c) == u for c, u in zip(F.classes, F.cover_classes)
             )
             assert F.pulls_back_to_cover == classes_agree == holds
-            assert verify_cover_pullback(F) == holds
             check = verify_relation(F)
             assert check.passed == holds
             assert check.residual == relation_residual(F, relation_classes(F))
@@ -255,7 +252,7 @@ def test_cover_identity_is_stricter_than_the_classes(surface):
     F = _with_cover_shift(L, lambda cm: cm.divisor("D1") ** 2)
     cm = F.cover[0]
     assert all(cm.pullback(c) == u for c, u in zip(F.classes, F.cover_classes))
-    assert not verify_cover_pullback(F)
+    assert not F.pulls_back_to_cover
     check = verify_relation(F)
     assert not check.passed
     assert all(c.is_zero for c in check.residual)
@@ -351,7 +348,7 @@ def test_solve_matches_parabolic_chern(surface):
 
 def test_cover_pullback_worked_example(surface):
     E = worked_example(surface)
-    assert verify_cover_pullback(E)
+    assert E.pulls_back_to_cover
     cm = make_cover(surface, 3)
     d1 = surface.ring.generator("D1")
     t = cm.divisor("D1")
@@ -362,7 +359,7 @@ def test_cover_pullback_worked_example(surface):
 def test_cover_pullback_weightless(surface):
     ring = surface.ring
     E = ParabolicBundle(surface, ((OrdinaryBundleClass(2, ring.one()), {}),))
-    assert verify_cover_pullback(E)
+    assert E.pulls_back_to_cover
 
 
 def test_cover_pullback_is_independent_of_cover_bundle(surface, monkeypatch):
@@ -377,7 +374,7 @@ def test_cover_pullback_is_independent_of_cover_bundle(surface, monkeypatch):
 
     for module in (bundles, grothendieck):
         monkeypatch.setattr(module, "cover_bundle", corrupted, raising=False)
-    assert not verify_cover_pullback(worked_example(surface))
+    assert not worked_example(surface).pulls_back_to_cover
 
 
 # --- pair identities --------------------------------------------------------------
@@ -453,10 +450,10 @@ def test_cover_is_built_once(surface, monkeypatch):
     for _ in range(2):
         E.classes
         relation_classes(E)
-        chern_character(E)
+        E.character
         assert verify_relation(E).passed
         assert solve_from_relation(E) == E.classes
-        assert verify_cover_pullback(E)
+        assert E.pulls_back_to_cover
     assert {name: len(calls) for name, calls in counts.items()} == {
         "make_cover": 1,
         "cover_bundle": 1,
@@ -477,7 +474,7 @@ def test_passing_cover_checks_skip_the_newton_bridge(surface, monkeypatch):
     }
     E = worked_example(surface)
     assert verify_relation(E).passed
-    assert verify_cover_pullback(E)
+    assert E.pulls_back_to_cover
     assert {name: len(calls) for name, calls in counts.items()} == {
         "chern_from_character": 0,
         "cover_bundle": 1,

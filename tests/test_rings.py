@@ -103,7 +103,7 @@ def test_add_linearity(ring):
 
 def test_mul_truncation_and_rules(ring):
     d1, d2 = ring.generator("D1"), ring.generator("D2")
-    assert d1 * d1 == RingElement(ring, {ring.monomial({"D1": 2}): 1})
+    assert d1 * d1 == RingElement(ring, {(2, 0, 0): 1})
     assert (d1 * d2).is_zero
     assert (d1 * d1 ** 2).is_zero  # degree 3 > cutoff 2
 
@@ -180,14 +180,45 @@ def test_every_term_is_checked_before_the_cutoff_drops_it(ring):
     ],
 )
 def test_both_factor_readers_reject_bad_factors_alike(ring, factors):
-    # ``monomial`` (rule and integral monomials) and ``element`` (every other
-    # named term) read factors in separate code; their errors must agree.
-    with pytest.raises((KeyError, ValueError)) as by_monomial:
-        ring.monomial(factors)
+    # Rule monomials, integral monomials and named terms all come in through
+    # one reader, and each door gives the same message.  The rule and
+    # integral doors raise it as an ``InputError`` at the offending value.
     with pytest.raises((KeyError, ValueError)) as by_element:
         ring.element([(1, factors)])
-    assert type(by_element.value) is type(by_monomial.value)
-    assert str(by_element.value) == str(by_monomial.value)
+    message = by_element.value.args[0]
+    generators = [("D1", 1), ("D2", 1), ("H", 1)]
+    for rules, path in (
+        ([(factors, [])], ("rules", 0)),
+        ([({"D1": 2}, [(1, factors)])], ("rules", 0, 0)),
+    ):
+        with pytest.raises(InputError) as by_rule:
+            GradedRing(generators, 2, rules=rules)
+        assert (by_rule.value.args[0], by_rule.value.path) == (message, path)
+    with pytest.raises(InputError) as by_integral:
+        Variety(2, ("D1", "D2"), (("H", 1),), integrals=[(factors, 1)])
+    assert by_integral.value.args[0] == message
+    assert by_integral.value.path == ("integrals", 0)
+
+
+def test_rules_above_the_cutoff_may_overflow_their_fields():
+    # With cutoff 2 each exponent field is 3 bits wide: exponents 4 to 7
+    # reach its guard bit and 8 or more carry into the next field.  Only the
+    # degree of a rule above the cutoff is read, and it keeps no row.
+    generators = [("D1", 1), ("D2", 1)]
+    for lhs, rhs in (({"D1": 5, "D2": 3}, {"D1": 4, "D2": 4}), ({"D1": 8}, {"D2": 8})):
+        ring = GradedRing(generators, 2, rules=[(lhs, [(1, rhs)])])
+        assert ring._relations == []
+        assert len(ring.basis_monomials(2)) == 3
+    with pytest.raises(InputError, match="not degree-homogeneous") as raised:
+        GradedRing(generators, 2, rules=[({"D1": 9}, [(1, {"D2": 8})])])
+    assert raised.value.path == ("rules", 0, 0)
+    for rule, path in (
+        (({"D1": 9, "Q": 1}, []), ("rules", 0)),
+        (({"D1": 9}, [(1, {"D1": 8, "Q": 1})]), ("rules", 0, 0)),
+    ):
+        with pytest.raises(InputError, match="unknown generator 'Q'") as raised:
+            GradedRing(generators, 2, rules=[rule])
+        assert raised.value.path == path
 
 
 @pytest.mark.parametrize(
@@ -360,7 +391,7 @@ def test_block_fill_stays_local():
     for a in range(9):
         m = min(a, 8 - a)
         mono = {"D1": a - m, "D2": 8 - a - m, "D3": 2 * m}
-        expected = expected + comb(8, a) * RingElement(ring, {ring.monomial(mono): 1})
+        expected = expected + ring.element([(comb(8, a), mono)])
     assert (d1 + d2) ** 8 == expected
     assert len(ring._memo) < 500
 
@@ -379,8 +410,8 @@ def test_duplicate_generator_rejected():
 
 def test_normalization_idempotent(ring):
     raw = {
-        ring.monomial({"D1": 1, "D2": 1}): Fraction(3),
-        ring.monomial({"D1": 1}): Fraction(1, 2),
+        (1, 1, 0): Fraction(3),
+        (1, 0, 0): Fraction(1, 2),
     }
     once = RingElement(ring, raw)
     twice = RingElement(ring, dict(once.terms))
@@ -966,5 +997,5 @@ def test_normal_monomials_fill_the_memo_without_a_block(monkeypatch):
     assert not (d4 * (d4 + d5) ** 3).is_zero
     assert blocks == []
     # ... but D3^2 is, so its block is reduced once.
-    assert (d3 * d3).terms == {ring.monomial({"D3": 2}): 1}
+    assert (d3 * d3).terms == {(0, 0, 2, 0, 0): 1}
     assert len(blocks) == 1
