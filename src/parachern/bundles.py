@@ -10,7 +10,9 @@ divisors, is read by ``GradedRing.element`` from the weights as named
 terms.  Each bundle derives its data lazily and at most once, as properties:
 ``order`` (the cover order), ``character`` and ``classes``, all on the
 base; and, for the verifiers only, ``cover``, the cover of minimal order
-with the character of the bundle induced on it.
+with the character of the bundle induced on it.  ``dual``, ``tensor`` and
+``direct_sum`` build their summands in canonical form from checked
+bundles, so they skip the checks of ``ParabolicBundle(...)``.
 
 Pullback to the cover is a graded ring isomorphism that commutes with the
 Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
@@ -25,10 +27,11 @@ residual of a failed identity, or to test explicitly given classes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .chow import COVER_PREFIX, CoverModel, Variety, make_cover
 from .rings import (
@@ -135,6 +138,16 @@ class ParabolicBundle(Record):
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "summands", tuple(canonical))
 
+    @classmethod
+    def _from_summands(cls, variety: Variety, summands: tuple[Summand, ...]):
+        """A bundle from summands already in canonical form, derived from
+        checked bundles: classes on ``variety``'s ring and nonzero weights
+        in (0, 1) in divisor order; nothing is re-checked."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "variety", variety)
+        object.__setattr__(bundle, "summands", summands)
+        return bundle
+
     @property
     def rank(self) -> int:
         return sum(bundle.rank for bundle, _ in self.summands)
@@ -192,7 +205,7 @@ class ParabolicBundle(Record):
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     if E.variety is not F.variety:
         raise ValueError("direct sum requires bundles on the same variety")
-    return ParabolicBundle(E.variety, E.summands + F.summands)
+    return ParabolicBundle._from_summands(E.variety, E.summands + F.summands)
 
 
 def _conjugate_character(ch: RingElement) -> RingElement:
@@ -203,43 +216,43 @@ def _conjugate_character(ch: RingElement) -> RingElement:
 
 
 def dual(E: ParabolicBundle) -> ParabolicBundle:
-    """Summand-wise dual: weight 0 stays 0; weight w > 0 becomes 1 - w and
-    the underlying dual bundle picks up a twist by minus that divisor."""
-    ring = E.ring
+    """Summand-wise dual: weight 0 stays 0; weight w > 0 becomes 1 - w,
+    which lies in (0, 1), and the underlying dual bundle picks up a twist
+    by minus that divisor."""
     out = []
     for bundle, weights in E.summands:
-        new_weights = {name: 1 - w for name, w in weights}
-        twist = ring.element((-1, {name: 1}) for name in new_weights)
+        twist = E.ring.element((-1, {name: 1}) for name, _ in weights)
         ch = _conjugate_character(bundle.character) * exp_nilpotent(twist)
-        out.append((OrdinaryBundleClass._from_character(bundle.rank, ch), new_weights))
-    return ParabolicBundle(E.variety, tuple(out))
+        dual_bundle = OrdinaryBundleClass._from_character(bundle.rank, ch)
+        out.append((dual_bundle, tuple((name, 1 - w) for name, w in weights)))
+    return ParabolicBundle._from_summands(E.variety, tuple(out))
 
 
 def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     """Summand-wise product: weights add per divisor; a sum reaching 1
-    wraps around and twists the product bundle by that divisor."""
+    wraps around into [0, 1) and twists the product bundle by that
+    divisor.  Zero weights are dropped and the rest kept in divisor order."""
     if E.variety is not F.variety:
         raise ValueError("tensor requires bundles on the same variety")
-    ring = E.ring
     out = []
     for bv, wv in E.summands:
         map_v = dict(wv)
         for bw, ww in F.summands:
             map_w = dict(ww)
             wrapped = []
-            weights = {}
-            for name in {**map_v, **map_w}:
-                s = map_v.get(name, Fraction(0)) + map_w.get(name, Fraction(0))
+            weights = []
+            for name in E.variety.divisors:
+                s = map_v.get(name, 0) + map_w.get(name, 0)
                 if s >= 1:
                     s -= 1
                     wrapped.append((1, {name: 1}))
                 if s:
-                    weights[name] = s
-            twist = ring.element(wrapped)
+                    weights.append((name, s))
+            twist = E.ring.element(wrapped)
             ch = bv.character * bw.character * exp_nilpotent(twist)
             bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
-            out.append((bundle, weights))
-    return ParabolicBundle(E.variety, tuple(out))
+            out.append((bundle, tuple(weights)))
+    return ParabolicBundle._from_summands(E.variety, tuple(out))
 
 
 def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
@@ -254,14 +267,13 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
         raise ValueError(
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
         )
-    ru = cm.cover_ring
     pulled: dict[OrdinaryBundleClass, RingElement] = {}
     pairs = []
     for bundle, weights in E.summands:
         if bundle not in pulled:
             pulled[bundle] = cm.pullback(bundle.character)
         # Each weight's denominator divides n, so order * w is an integer.
-        twist = ru.element(
+        twist = cm.cover_ring.element(
             (cm.order // w.denominator * w.numerator, {COVER_PREFIX + name: 1})
             for name, w in weights
         )
@@ -272,6 +284,5 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:
     """The normalized classes entering the tautological relation: the i-th
     Chern class divided by order^(rank - i), so index 0 is 1/order^rank."""
-    n = E.order
-    r = E.rank
+    n, r = E.order, E.rank
     return [c / Fraction(n) ** (r - i) for i, c in enumerate(E.classes)]

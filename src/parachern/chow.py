@@ -12,8 +12,8 @@ same way.  This pullback is a graded ring isomorphism.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .rings import (
     GradedRing,

@@ -33,7 +33,6 @@ from .frontend import (
     parse_program,
 )
 from .rings import RingElement, format_terms
-from .scenegen import random_scene_text
 
 SCHEMA_VERSION = 1
 
@@ -269,6 +268,9 @@ def _render(report: dict, as_json: bool, stdout, stderr):
 
 
 def _run_random(args, stdout, stderr) -> int:
+    # Imported here: a file run never needs the scene generator.
+    from .scenegen import random_scene_text
+
     master = random.Random(args.seed)
     weight_cap = min(12, args.max_denominator)
     scenes = []

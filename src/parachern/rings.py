@@ -34,10 +34,10 @@ rather than once per product.  Every product, sum of products and exp is
 one integer expansion, normalized once.  Nothing here touches floating
 point.
 
-The Newton bridge between a total Chern class and a Chern character takes
-and returns whole elements and splits graded parts itself;
-:func:`character_from_chern` is the one place a total Chern class is
-checked.
+The Newton bridges split their input into graded numerators in one pass,
+take each step on (numerators, denominator) forms through the loop behind
+:func:`sum_of_products`, and make elements only for what they return;
+:func:`character_from_chern` is the one place a total Chern class is checked.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _over_common_denominator(coeffs: Mapping[int, Fraction]) -> NormalForm:
-    """Integer numerators over the least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
 
 
 def _canonical(num: Numerators, den: int) -> NormalForm:
@@ -228,10 +222,10 @@ class GradedRing:
                         "relation is not degree-homogeneous", "rules", idx, term
                     )
                 row[mono] = row.get(mono, 0) - coeff
-            if lhs_degree <= self.cutoff:
-                row = {m: c for m, c in row.items() if c}
-                if row:
-                    self._relations.append(_over_common_denominator(row)[0])
+            row = {m: c for m, c in row.items() if c}
+            if row and lhs_degree <= self.cutoff:
+                den = lcm(*(c.denominator for c in row.values()))
+                self._relations.append({m: int(c * den) for m, c in row.items()})
 
     @classmethod
     def _from_relations(
@@ -562,9 +556,8 @@ class RingElement(Record):
         ring = self.ring
         if k < 0 or k > ring.cutoff:
             raise ValueError(f"degree {k} outside [0, {ring.cutoff}]")
-        memo = ring._memo
-        picked = {m: c for m, c in self._num.items() if memo[m][0] == k}
-        return RingElement._make(ring, *_canonical(picked, self._den))
+        part = _graded_numerators(self, k)[k]
+        return RingElement._make(ring, *_canonical(part, self._den))
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
@@ -665,26 +658,41 @@ class RingElement(Record):
 
 def sum_of_products(pairs: Sequence[tuple[RingElement, RingElement]]) -> RingElement:
     """The sum of a * b over a non-empty sequence of (a, b) pairs of one
-    ring: every product term is added into one set of integer numerators
-    over the least common denominator, and the sum is normalized once."""
+    ring, normalized once."""
     ring = pairs[0][0].ring
-    for a, b in pairs:
-        if a.ring is not ring or b.ring is not ring:
-            raise RingMismatchError("elements belong to different rings")
+    if any(a.ring is not ring or b.ring is not ring for a, b in pairs):
+        raise RingMismatchError("elements belong to different rings")
+    forms = [((a._num, a._den), (b._num, b._den)) for a, b in pairs]
+    return RingElement._make(ring, *_sum_of_products(ring, forms))
+
+
+def _sum_of_products(
+    ring: GradedRing, pairs: Sequence[tuple[NormalForm, NormalForm]]
+) -> NormalForm:
+    """Canonical form of the sum of a * b over (a, b) pairs of forms, each
+    numerators by normal packed monomial over a positive denominator, not
+    necessarily reduced: every product term joins one set of numerators
+    over the least common denominator, normalized once."""
     memo = ring._memo
     entry = ring._entry
     cutoff = ring.cutoff
-    den = lcm(*(a._den * b._den for a, b in pairs))
+    den = lcm(*(a_den * b_den for (_, a_den), (_, b_den) in pairs))
     num: Numerators = {}
     pending: Numerators = {}
-    for a, b in pairs:
-        scale = den // (a._den * b._den)
+    for (a, a_den), (b, b_den) in pairs:
+        scale = den // (a_den * b_den)
+        if len(b) == 1 and 0 in b:
+            a, b = b, a
+        if len(a) == 1 and 0 in a:
+            # A constant factor: the other's monomials are already normal.
+            scale *= a[0]
+            for m, c in b.items():
+                num[m] = num.get(m, 0) + scale * c
+            continue
         # The right factor's terms by ascending degree, so the inner loop
         # stops at the first product above the cutoff.
-        right = sorted(
-            ((memo[m][0], m, c) for m, c in b._num.items()), key=itemgetter(0)
-        )
-        for ma, ca in a._num.items():
+        right = sorted(((memo[m][0], m, c) for m, c in b.items()), key=itemgetter(0))
+        for ma, ca in a.items():
             start = memo[ma][0]
             room = cutoff - start
             ca *= scale
@@ -695,7 +703,7 @@ def sum_of_products(pairs: Sequence[tuple[RingElement, RingElement]]) -> RingEle
                 form = (memo.get(prod) or entry(prod, start + degree))[1]
                 target = num if form is None else pending
                 target[prod] = target.get(prod, 0) + ca * cb
-    return RingElement._make(ring, *ring._expand(num, den, pending))
+    return ring._expand(num, den, pending)
 
 
 def format_monomial(factors: Iterable[tuple[str, int]]) -> str:
@@ -740,6 +748,8 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     if 0 in a._num:
         raise ValueError("exp_nilpotent requires a vanishing degree-0 part")
     ring = a.ring
+    if not a._num:
+        return ring.one()
     memo = ring._memo
     cutoff = ring.cutoff
     den = a._den
@@ -764,6 +774,16 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     return RingElement._make(ring, *ring._expand(num, scale, pending))
 
 
+def _graded_numerators(x: RingElement, top: int) -> list[Numerators]:
+    """x's numerators over its denominator by degree 0..top, in one pass."""
+    parts: list[Numerators] = [{} for _ in range(top + 1)]
+    memo = x.ring._memo
+    for m, c in x._num.items():
+        if memo[m][0] <= top:
+            parts[memo[m][0]][m] = c
+    return parts
+
+
 def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement, ...]:
     """Chern classes c_0..c_rank of a rank-``rank`` Chern character.
 
@@ -774,21 +794,20 @@ def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement
     if int(rank) < 1:
         raise ValueError("rank must be a positive integer")
     rank = int(rank)
-    ring = character.ring
-    if character.graded_part(0) != ring.scalar(rank):
-        raise ValueError("character part 0 must equal the rank")
+    ring, den = character.ring, character._den
     top = min(rank, ring.cutoff)
-    s = [ring.zero()]
-    s.extend(
-        character.graded_part(k) * ((-1) ** (k + 1) * factorial(k))
-        for k in range(1, top + 1)
-    )
-    classes = [ring.one()]
+    parts = _graded_numerators(character, top)
+    if parts[0] != {0: rank * den}:
+        raise ValueError("character part 0 must equal the rank")
+    s: list[NormalForm] = [({}, 1)]
+    forms: list[NormalForm] = [({0: 1}, 1)]
     for k in range(1, top + 1):
-        total = sum_of_products([(classes[j], s[k - j]) for j in range(k)])
-        classes.append(total * Fraction(1, k))
-    classes.extend(ring.zero() for _ in range(rank - top))
-    return tuple(classes)
+        factor = (-1) ** (k + 1) * factorial(k)
+        s.append(({m: c * factor for m, c in parts[k].items()}, den))
+        num, total = _sum_of_products(ring, [(forms[j], s[k - j]) for j in range(k)])
+        forms.append(_canonical(num, total * k))
+    classes = tuple(RingElement._make(ring, *form) for form in forms)
+    return classes + (ring.zero(),) * (rank - top)
 
 
 def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
@@ -804,21 +823,23 @@ def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
     if int(rank) < 1:
         raise ValueError("bundle rank must be at least 1")
     rank = int(rank)
-    ring = total_chern.ring
-    chern = [total_chern.graded_part(k) for k in range(ring.cutoff + 1)]
-    if chern[0] != ring.one():
+    ring, den = total_chern.ring, total_chern._den
+    parts = _graded_numerators(total_chern, ring.cutoff)
+    if parts[0] != {0: den}:
         raise ValueError("total Chern class must have degree-0 part 1")
     for k in range(rank + 1, ring.cutoff + 1):
-        if not chern[k].is_zero:
+        if parts[k]:
             raise ValueError(
                 f"Chern part of degree {k} exceeds the bundle rank {rank}"
             )
-    s = [ring.zero()]
-    character = [(ring.one(), ring.scalar(rank))]
+    # The forms of -c_k, so that each step is one plain sum of products.
+    minus = [({m: -c for m, c in part.items()}, den) for part in parts]
+    s: list[NormalForm] = [({}, 1)]
+    character = [(({0: rank}, 1), ({0: 1}, 1))]
     for k in range(1, ring.cutoff + 1):
-        pairs = [(-chern[j], s[k - j]) for j in range(1, min(k - 1, rank) + 1)]
+        pairs = [(minus[j], s[k - j]) for j in range(1, min(k - 1, rank) + 1)]
         if k <= rank:
-            pairs.append((chern[k], ring.scalar(k)))
-        s.append(sum_of_products(pairs))
-        character.append((s[k], ring.scalar(Fraction((-1) ** (k + 1), factorial(k)))))
-    return sum_of_products(character)
+            pairs.append((minus[k], ({0: -k}, 1)))
+        s.append(_sum_of_products(ring, pairs))
+        character.append((s[k], ({0: (-1) ** (k + 1)}, factorial(k))))
+    return RingElement._make(ring, *_sum_of_products(ring, character))

@@ -1,3 +1,4 @@
+import random
 import weakref
 from fractions import Fraction
 from math import lcm
@@ -29,6 +30,7 @@ from parachern.grothendieck import (
     verify_pair_identities,
     verify_relation,
 )
+from parachern.scenegen import random_elaborated_scene
 from proj_bundle_oracle import pushdown
 from test_rings import RING_FACTORIES
 
@@ -491,3 +493,26 @@ def test_derived_characters_round_trip_through_the_constructor(data):
     for bundle in built:
         total = sum(chern_from_character(bundle.character, bundle.rank))
         assert OrdinaryBundleClass(bundle.rank, total).character == bundle.character
+
+
+def scenegen_pairs(count):
+    """``count`` pairs (E, F) of parabolic bundles from generated scenes,
+    the first two of each scene, or a bundle with itself."""
+    pairs = []
+    seed = 0
+    while len(pairs) < count:
+        bundles = list(random_elaborated_scene(random.Random(seed)).parabolics.values())
+        pairs.append((bundles[0], bundles[-1] if len(bundles) < 2 else bundles[1]))
+        seed += 1
+    return pairs
+
+
+def test_derived_bundles_need_no_recheck():
+    # dual, tensor and direct_sum build from checked summands without the
+    # constructor's checks: the constructor must leave their summands as
+    # they are.  Whitney reads ch(E + F) = ch(E) + ch(F).
+    for E, F in scenegen_pairs(100):
+        for G in (dual(E), tensor(E, F), direct_sum(E, F)):
+            assert ParabolicBundle(E.variety, G.summands).summands == G.summands
+        total = chern_from_character(E.character + F.character, E.rank + F.rank)
+        assert total == direct_sum(E, F).classes

@@ -999,3 +999,134 @@ def test_normal_monomials_fill_the_memo_without_a_block(monkeypatch):
     # ... but D3^2 is, so its block is reduced once.
     assert (d3 * d3).terms == {(0, 0, 2, 0, 0): 1}
     assert len(blocks) == 1
+
+
+# --- Newton bridges on integer forms ----------------------------------------
+
+
+def element_chern_from_character(character, rank):
+    """The element-based Newton bridge the form-based one replaced: one
+    element per graded part, scalar and class."""
+    if int(rank) < 1:
+        raise ValueError("rank must be a positive integer")
+    rank = int(rank)
+    ring = character.ring
+    if character.graded_part(0) != ring.scalar(rank):
+        raise ValueError("character part 0 must equal the rank")
+    top = min(rank, ring.cutoff)
+    s = [ring.zero()]
+    s.extend(
+        character.graded_part(k) * ((-1) ** (k + 1) * factorial(k))
+        for k in range(1, top + 1)
+    )
+    classes = [ring.one()]
+    for k in range(1, top + 1):
+        total = sum_of_products([(classes[j], s[k - j]) for j in range(k)])
+        classes.append(total * Fraction(1, k))
+    classes.extend(ring.zero() for _ in range(rank - top))
+    return tuple(classes)
+
+
+def element_character_from_chern(total_chern, rank):
+    """The element-based inverse bridge the form-based one replaced."""
+    if int(rank) < 1:
+        raise ValueError("bundle rank must be at least 1")
+    rank = int(rank)
+    ring = total_chern.ring
+    chern = [total_chern.graded_part(k) for k in range(ring.cutoff + 1)]
+    if chern[0] != ring.one():
+        raise ValueError("total Chern class must have degree-0 part 1")
+    for k in range(rank + 1, ring.cutoff + 1):
+        if not chern[k].is_zero:
+            raise ValueError(
+                f"Chern part of degree {k} exceeds the bundle rank {rank}"
+            )
+    s = [ring.zero()]
+    character = [(ring.one(), ring.scalar(rank))]
+    for k in range(1, ring.cutoff + 1):
+        pairs = [(-chern[j], s[k - j]) for j in range(1, min(k - 1, rank) + 1)]
+        if k <= rank:
+            pairs.append((chern[k], ring.scalar(k)))
+        s.append(sum_of_products(pairs))
+        character.append((s[k], ring.scalar(Fraction((-1) ** (k + 1), factorial(k)))))
+    return sum_of_products(character)
+
+
+def outcome(bridge, *args):
+    """A bridge's result, or the type and message of what it raised."""
+    try:
+        return bridge(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("on_cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_form_bridges_match_the_element_bridges(make_ring, on_cover, data):
+    ring = make_ring()
+    if on_cover:
+        ring = cover_ring(ring)
+    rank = data.draw(st.integers(min_value=1, max_value=ring.cutoff + 2))
+    x = RingElement(ring, data.draw(raw_terms(ring)))
+    top = min(rank, ring.cutoff)
+    positive = x - x.graded_part(0)
+    # A valid total class and character, and ones that break each check:
+    # a wrong degree-0 part, and (for the total class) a part above the rank.
+    total = 1 + sum((x.graded_part(k) for k in range(1, top + 1)), ring.zero())
+    totals = [total, x, total + positive]
+    characters = [rank + positive, x, rank + 1 + positive]
+    for c in totals:
+        expected = outcome(element_character_from_chern, c, rank)
+        assert outcome(character_from_chern, c, rank) == expected
+        if isinstance(expected, RingElement):
+            assert_canonical(expected)
+            classes = chern_from_character(expected, rank)
+            assert classes == tuple(c.graded_part(k) for k in range(top + 1)) + (
+                ring.zero(),
+            ) * (rank - top)
+    for ch in characters:
+        expected = outcome(element_chern_from_character, ch, rank)
+        got = outcome(chern_from_character, ch, rank)
+        assert got == expected
+        if isinstance(got, tuple) and isinstance(got[0], RingElement):
+            for c in got:
+                assert_canonical(c)
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_constant_factors_skip_the_product_loop(make_ring, data):
+    ring = make_ring()
+    x = RingElement(ring, data.draw(raw_terms(ring)))
+    value = data.draw(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    )
+    k = ring.scalar(value)
+    assert k._num == {0: value.numerator}
+    total = sum_of_products([(k, x), (x, k)])
+    assert total == 2 * value * x
+    assert dict(total.terms) == reference_add(
+        ring,
+        reference_mul(ring, dict(k.terms), dict(x.terms)),
+        reference_mul(ring, dict(x.terms), dict(k.terms)),
+    )
+    assert_canonical(total)
+    # Next to a general pair, the pairs' denominators differ, so each
+    # constant term is scaled to the common denominator.
+    y = RingElement(ring, data.draw(raw_terms(ring)))
+    mixed = sum_of_products([(k, x), (x, y), (y, k)])
+    assert dict(mixed.terms) == reference_add(
+        ring,
+        reference_mul(ring, dict(x.terms), dict(y.terms)),
+        {m: value * c for m, c in (x + y).terms.items()},
+    )
+    assert_canonical(mixed)
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+def test_exp_of_zero_is_one(make_ring):
+    ring = make_ring()
+    assert exp_nilpotent(ring.zero()) == ring.one()
+    assert_canonical(exp_nilpotent(ring.zero()))
