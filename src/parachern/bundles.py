@@ -129,8 +129,10 @@ class ParabolicBundle(Record):
                     raise InputError(f"unknown divisor {name!r}", *at)
                 if name in cleaned:
                     raise InputError(f"duplicate weight for divisor {name!r}", *at)
-                w = Fraction(value)
-                if not (0 <= w < 1):
+                # A Fraction's denominator is positive, so its range check
+                # is one on two ints; any other weight is read by Fraction.
+                w = value if type(value) is Fraction else Fraction(value)
+                if not (0 <= w.numerator < w.denominator):
                     raise InputError("weight must lie in [0,1)", *at)
                 cleaned[name] = w
             ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])

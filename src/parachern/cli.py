@@ -76,8 +76,7 @@ def _run_compute(scene: Scene, command: CommandDecl) -> dict:
     if command.kind in ("chern", "ctpoly"):
         classes = bundle.classes
     elif command.kind == "ch":
-        ch = bundle.character
-        classes = [ch.graded_part(k) for k in range(scene.variety.dim + 1)]
+        classes = bundle.character.graded_parts(scene.variety.dim)
     else:
         raise ValueError(f"unknown compute kind {command.kind!r}")
     reports = [_class_report(c) for c in classes]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
 from .bundles import OrdinaryBundleClass, ParabolicBundle, trivial_line
@@ -24,17 +25,11 @@ COMMANDS = {
 }
 # Cap on the denominator of every rational written in a scene.
 DEFAULT_MAX_DENOMINATOR = 10**6
-STATEMENT_KEYWORDS = (
-    "variety",
-    "divisor",
-    "class",
-    "relation",
-    "integral",
-    "bundle",
-    "parabolic",
-    "compute",
-    "verify",
-)
+# Cap on the size of a scene's ring, counted as C(dim + g, g): the number
+# of monomials of degree at most dim over g generators of degree 1, and an
+# upper bound on it when some class has a higher degree.  The dense
+# ten-divisor fivefold has 3003.
+MAX_MONOMIALS = 10**5
 
 Pos = tuple[int, int]
 
@@ -216,22 +211,9 @@ class SceneAST(Record):
 # Lexer
 
 
-class Token:
-    """One lexeme: its kind ("name" | "int" | "punct" | "eof"), its text
-    and where it starts."""
-
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    @property
-    def pos(self) -> Pos:
-        return (self.line, self.column)
-
+# A token is a (kind, text, pos) tuple: kind "name" | "int" | "punct" |
+# "eof", its text, and the (line, column) where it starts.
+Token = tuple[str, str, Pos]
 
 # One match per lexeme, the blanks before it included; groups by index:
 # 1 newline, 2 comment, 3 int, 4 word, 5 punctuation, 6 any other
@@ -246,6 +228,7 @@ _KINDS = (None, None, None, "int", "name", "punct")
 
 
 def _lex(text: str) -> list[Token]:
+    """The scene's tokens as (kind, text, pos) tuples, eof last."""
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _LEXEME.finditer(text):
@@ -261,12 +244,12 @@ def _lex(text: str) -> list[Token]:
             ):
                 message = f"unexpected character {lexeme[0]!r}"
                 raise ParseError([Diagnostic("error", message, line, column)])
-            tokens.append(Token(_KINDS[group], lexeme, line, column))
+            tokens.append((_KINDS[group], lexeme, (line, column)))
     # A comment does not advance the column: eof sits where a comment that
     # ends the text starts.  The first '#' on a line starts its comment.
     comment = text.find("#", line_start)
     end = len(text) if comment < 0 else comment
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    tokens.append(("eof", "", (line, end - line_start + 1)))
     return tokens
 
 
@@ -275,109 +258,103 @@ def _lex(text: str) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent over the token list, which the cursor ``_i``
+    indexes directly.  A punctuation symbol or a keyword is matched on its
+    text alone, since no token of another kind has that text.  The cursor
+    only moves past a token that matched a kind other than eof or such a
+    text, so it never moves past eof."""
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._i = 0
 
-    # The cursor indexes the token list directly: it never moves past eof.
-    def _peek(self) -> Token:
-        return self._tokens[self._i]
-
-    def _advance(self) -> Token:
-        tok = self._tokens[self._i]
-        if tok.kind != "eof":
-            self._i += 1
-        return tok
-
     def _fail(self, message: str, tok: Token):
-        raise ParseError([Diagnostic("error", message, tok.line, tok.column)])
+        line, column = tok[2]
+        raise ParseError([Diagnostic("error", message, line, column)])
 
-    def _expect_punct(self, symbol: str, context: str) -> Token:
-        tok = self._peek()
-        if tok.kind != "punct" or tok.text != symbol:
+    def _expect_punct(self, symbol: str, context: str) -> None:
+        tok = self._tokens[self._i]
+        if tok[1] != symbol:
             self._fail(f"expected '{symbol}' {context}", tok)
-        return self._advance()
+        self._i += 1
 
     def _expect_name(self, context: str) -> Token:
-        tok = self._peek()
-        if tok.kind != "name":
+        tok = self._tokens[self._i]
+        if tok[0] != "name":
             self._fail(f"expected a name {context}", tok)
-        return self._advance()
+        self._i += 1
+        return tok
 
-    def _expect_keyword(self, word: str) -> Token:
-        tok = self._peek()
-        if tok.kind != "name" or tok.text != word:
+    def _expect_keyword(self, word: str) -> None:
+        tok = self._tokens[self._i]
+        if tok[1] != word:
             self._fail(f"expected '{word}'", tok)
-        return self._advance()
+        self._i += 1
 
     def _expect_int(self, context: str) -> int:
-        tok = self._peek()
-        if tok.kind != "int":
+        tok = self._tokens[self._i]
+        if tok[0] != "int":
             self._fail(f"expected an integer {context}", tok)
-        self._advance()
-        return int(tok.text)
-
-    def _at_punct(self, symbol: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "punct" and tok.text == symbol
+        self._i += 1
+        try:
+            return int(tok[1])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self._fail(f"integer {context} has too many digits", tok)
 
     def parse(self) -> SceneAST:
+        tokens = self._tokens
         statements = []
-        while self._peek().kind != "eof":
-            statements.append(self._statement())
+        tok = tokens[0]
+        while tok[0] != "eof":
+            handler = self._STATEMENTS.get(tok[1]) if tok[0] == "name" else None
+            if handler is None:
+                keywords = ", ".join(self._STATEMENTS)
+                self._fail(f"expected a statement keyword ({keywords})", tok)
+            self._i += 1
+            statements.append(handler(self, tok))
+            tok = tokens[self._i]
         return SceneAST(tuple(statements))
-
-    def _statement(self) -> Statement:
-        tok = self._peek()
-        if tok.kind != "name" or tok.text not in STATEMENT_KEYWORDS:
-            self._fail(
-                "expected a statement keyword "
-                "(variety, divisor, class, relation, integral, bundle, "
-                "parabolic, compute, verify)",
-                tok,
-            )
-        handler = getattr(self, f"_parse_{tok.text}")
-        return handler(self._advance())
 
     def _parse_variety(self, kw: Token) -> VarietyDecl:
         name = self._expect_name("after 'variety'")
         self._expect_keyword("dim")
         dim = self._expect_int("after 'dim'")
         self._expect_punct(";", "after the variety declaration")
-        return VarietyDecl(name.text, dim, kw.pos)
+        return VarietyDecl(name[1], dim, kw[2])
 
     def _parse_divisor(self, kw: Token) -> DivisorDecl:
-        names = [self._expect_name("after 'divisor'").text]
-        while self._at_punct(","):
-            self._advance()
-            names.append(self._expect_name("after ','").text)
+        tokens = self._tokens
+        names = [self._expect_name("after 'divisor'")[1]]
+        while tokens[self._i][1] == ",":
+            self._i += 1
+            names.append(self._expect_name("after ','")[1])
         self._expect_punct(";", "after the divisor declaration")
-        return DivisorDecl(tuple(names), kw.pos)
+        return DivisorDecl(tuple(names), kw[2])
 
     def _parse_class(self, kw: Token) -> ClassDecl:
         name = self._expect_name("after 'class'")
         self._expect_keyword("deg")
         degree = self._expect_int("after 'deg'")
         self._expect_punct(";", "after the class declaration")
-        return ClassDecl(name.text, degree, kw.pos)
+        return ClassDecl(name[1], degree, kw[2])
 
     def _parse_relation(self, kw: Token) -> RelationDecl:
         lhs = self._mono()
         self._expect_punct("=", "in the relation")
         rhs = self._poly()
         self._expect_punct(";", "after the relation")
-        return RelationDecl(lhs, rhs, kw.pos)
+        return RelationDecl(lhs, rhs, kw[2])
 
     def _parse_integral(self, kw: Token) -> IntegralDecl:
         mono = self._mono()
         self._expect_punct("=", "in the integral declaration")
         # An integral may be negative (an exceptional curve has E^2 = -1).
-        sign = -1 if self._at_punct("-") else 1
-        if sign < 0:
-            self._advance()
+        negative = self._tokens[self._i][1] == "-"
+        if negative:
+            self._i += 1
         value, _ = self._rat()
         self._expect_punct(";", "after the integral declaration")
-        return IntegralDecl(mono, sign * value, kw.pos)
+        return IntegralDecl(mono, -value if negative else value, kw[2])
 
     def _parse_bundle(self, kw: Token) -> BundleDecl:
         name = self._expect_name("after 'bundle'")
@@ -386,101 +363,115 @@ class _Parser:
         self._expect_keyword("chern")
         chern = self._poly()
         self._expect_punct(";", "after the bundle declaration")
-        return BundleDecl(name.text, rank, chern, kw.pos)
+        return BundleDecl(name[1], rank, chern, kw[2])
 
     def _parse_parabolic(self, kw: Token) -> ParabolicDecl:
+        tokens = self._tokens
         name = self._expect_name("after 'parabolic'")
         self._expect_punct("=", "in the parabolic declaration")
         summands = [self._summand()]
-        while self._at_punct("(+)"):
-            self._advance()
+        while tokens[self._i][1] == "(+)":
+            self._i += 1
             summands.append(self._summand())
         self._expect_punct(";", "after the parabolic declaration")
-        return ParabolicDecl(name.text, tuple(summands), kw.pos)
+        return ParabolicDecl(name[1], tuple(summands), kw[2])
 
     def _parse_command(self, kw: Token) -> CommandDecl:
-        kinds = COMMANDS[kw.text]
-        kind = self._expect_name(f"after '{kw.text}'")
-        if kind.text not in kinds:
+        action = kw[1]
+        kinds = COMMANDS[action]
+        kind_tok = self._expect_name(f"after '{action}'")
+        kind = kind_tok[1]
+        if kind not in kinds:
             self._fail(
-                f"unknown {kw.text} kind {kind.text!r} "
+                f"unknown {action} kind {kind!r} "
                 f"(expected one of {', '.join(kinds)})",
-                kind,
+                kind_tok,
             )
-        context = f"after '{kw.text} {kind.text}'"
-        names = tuple(self._expect_name(context).text for _ in range(kinds[kind.text]))
+        context = f"after '{action} {kind}'"
+        names = tuple(self._expect_name(context)[1] for _ in range(kinds[kind]))
         self._expect_punct(";", "after the command")
-        return CommandDecl(kw.text, kind.text, names, kw.pos)
+        return CommandDecl(action, kind, names, kw[2])
 
-    _parse_compute = _parse_verify = _parse_command
+    _STATEMENTS = {
+        "variety": _parse_variety,
+        "divisor": _parse_divisor,
+        "class": _parse_class,
+        "relation": _parse_relation,
+        "integral": _parse_integral,
+        "bundle": _parse_bundle,
+        "parabolic": _parse_parabolic,
+        "compute": _parse_command,
+        "verify": _parse_command,
+    }
 
     def _mono(self) -> MonoAST:
-        factors = [self._mono_factor()]
-        while self._at_punct("*"):
-            self._advance()
-            factors.append(self._mono_factor())
-        return tuple(factors)
-
-    def _mono_factor(self) -> MonoFactor:
-        name = self._expect_name("in a monomial")
-        exponent = 1
-        if self._at_punct("^"):
-            self._advance()
-            exponent = self._expect_int("after '^'")
-        return MonoFactor(name.text, exponent, name.pos)
+        tokens = self._tokens
+        factors = []
+        while True:
+            name = self._expect_name("in a monomial")
+            exponent = 1
+            if tokens[self._i][1] == "^":
+                self._i += 1
+                exponent = self._expect_int("after '^'")
+            factors.append(MonoFactor(name[1], exponent, name[2]))
+            if tokens[self._i][1] != "*":
+                return tuple(factors)
+            self._i += 1
 
     def _rat(self) -> tuple[Fraction, Pos]:
-        tok = self._peek()
+        tokens = self._tokens
+        pos = tokens[self._i][2]
         numerator = self._expect_int("in a rational")
-        if self._at_punct("/"):
-            self._advance()
-            denom_tok = self._peek()
-            denominator = self._expect_int("after '/'")
-            if denominator == 0:
-                self._fail("denominator must be nonzero", denom_tok)
-            return Fraction(numerator, denominator), tok.pos
-        return Fraction(numerator), tok.pos
+        if tokens[self._i][1] != "/":
+            return Fraction(numerator), pos
+        self._i += 1
+        denom_tok = tokens[self._i]
+        denominator = self._expect_int("after '/'")
+        if denominator == 0:
+            self._fail("denominator must be nonzero", denom_tok)
+        return Fraction(numerator, denominator), pos
 
     def _poly(self) -> PolyAST:
+        tokens = self._tokens
         terms = []
-        sign = 1
-        if self._at_punct("+") or self._at_punct("-"):
-            sign = -1 if self._advance().text == "-" else 1
+        sign = tokens[self._i][1]
+        if sign == "+" or sign == "-":
+            self._i += 1
         while True:
-            tok = self._peek()
-            if tok.kind == "int":
+            tok = tokens[self._i]
+            if tok[0] == "int":
                 value, pos = self._rat()
                 factors: MonoAST = ()
-                if self._at_punct("*"):
-                    self._advance()
+                if tokens[self._i][1] == "*":
+                    self._i += 1
                     factors = self._mono()
-            elif tok.kind == "name":
-                value, pos = Fraction(1), tok.pos
+            elif tok[0] == "name":
+                value, pos = Fraction(1), tok[2]
                 factors = self._mono()
             else:
                 self._fail("expected a term", tok)
-            terms.append(PolyTerm(sign * value, factors, pos))
-            if self._at_punct("+") or self._at_punct("-"):
-                sign = -1 if self._advance().text == "-" else 1
-                continue
-            return tuple(terms)
+            terms.append(PolyTerm(-value if sign == "-" else value, factors, pos))
+            sign = tokens[self._i][1]
+            if sign != "+" and sign != "-":
+                return tuple(terms)
+            self._i += 1
 
     def _summand(self) -> SummandAST:
+        tokens = self._tokens
         name = self._expect_name("at the start of a summand")
         self._expect_punct("{", "after the summand bundle name")
         weights = []
-        if not self._at_punct("}"):
+        if tokens[self._i][1] != "}":
             while True:
                 divisor = self._expect_name("in a weight entry")
                 self._expect_punct(":", "after the divisor name")
                 value, value_pos = self._rat()
-                weights.append(WeightEntry(divisor.text, value, value_pos))
-                if self._at_punct(","):
-                    self._advance()
-                    continue
-                break
+                weights.append(WeightEntry(divisor[1], value, value_pos))
+                if tokens[self._i][1] != ",":
+                    break
+                self._i += 1
         self._expect_punct("}", "after the weight map")
-        return SummandAST(name.text, tuple(weights), name.pos)
+        return SummandAST(name[1], tuple(weights), name[2])
 
 
 def parse_program(text: str) -> SceneAST:
@@ -670,6 +661,21 @@ def elaborate(ast: SceneAST, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> 
 
     if variety_decl is None:
         _fail("missing variety declaration", (1, 1))
+    # The size check comes before any ring is built.  A dimension or a
+    # generator count that alone reaches the cap fails before comb() runs,
+    # so a huge dimension costs nothing; the dimension also bounds the
+    # graded parts that every Newton bridge and exp lists.
+    dim, count = variety_decl.dim, len(divisors) + len(class_decls)
+    if (
+        dim >= MAX_MONOMIALS
+        or count >= MAX_MONOMIALS
+        or comb(dim + count, min(dim, count)) > MAX_MONOMIALS
+    ):
+        _fail(
+            f"variety exceeds the size cap of {MAX_MONOMIALS} monomials "
+            f"(dimension {dim}, generator count {count})",
+            variety_decl.pos,
+        )
 
     for decl in relation_decls:
         cap_coefficients(decl.rhs)

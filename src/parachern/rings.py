@@ -31,8 +31,10 @@ no second one; an int stays an int, and any other number becomes one
 integer numerators.  Each ring memoizes the normal form and the text of
 every monomial it meets, so reduction runs once per monomial and ring
 rather than once per product.  Every product, sum of products and exp is
-one integer expansion, normalized once.  Nothing here touches floating
-point.
+one integer expansion, normalized once; a product by the unit 1 is the
+other factor itself.  The kernel builds each element from a canonical form
+through `RingElement._make`, which sets the three slots through their
+descriptors.  Nothing here touches floating point.
 
 The Newton bridges split their input into graded numerators in one pass,
 take each step on (numerators, denominator) forms through the loop behind
@@ -59,6 +61,8 @@ RuleSpec = tuple[MonoSpec, Iterable[tuple[Rational, MonoSpec]]]
 # Integer numerators over one positive denominator, by packed monomial.
 Numerators = dict[int, int]
 NormalForm = tuple[Numerators, int]
+# The numerators of the unit 1, over denominator 1; never mutated.
+_UNIT: Numerators = {0: 1}
 
 
 class RingMismatchError(ValueError):
@@ -118,11 +122,13 @@ class Record:
 
 def _canonical(num: Numerators, den: int) -> NormalForm:
     """Drop zero numerators and divide out the common gcd with ``den``."""
-    if 0 in num.values():
+    values = num.values()
+    if 0 in values:
         num = {m: c for m, c in num.items() if c}
+        values = num.values()
     if not num:
         return num, 1
-    g = gcd(den, *num.values())
+    g = gcd(den, *values)
     if g != 1:
         num = {m: c // g for m, c in num.items()}
         den //= g
@@ -249,7 +255,11 @@ class GradedRing:
         so only the degree of such a monomial is meaningful."""
         fields = self._fields
         packed = degree = 0
-        for name, exp in spec.items() if isinstance(spec, Mapping) else spec:
+        # Exact types first: the ABC check is the slow one.
+        kind = type(spec)
+        if kind is dict or (kind is not tuple and isinstance(spec, Mapping)):
+            spec = spec.items()
+        for name, exp in spec:
             field = fields.get(name)
             if field is None:
                 raise KeyError(f"unknown generator {name!r}")
@@ -345,7 +355,12 @@ class GradedRing:
         den = 1
         for coeff, spec in terms:
             packed, degree = key(spec)
-            if not isinstance(coeff, (int, Fraction)):
+            kind = type(coeff)
+            if (
+                kind is not int
+                and kind is not Fraction
+                and not isinstance(coeff, (int, Fraction))
+            ):
                 coeff = Fraction(coeff)
             if degree > cutoff:
                 continue
@@ -500,19 +515,19 @@ class RingElement(Record):
                     )
                 yield coeff, zip(names, mono)
 
-        self._set(ring, *ring._read(named()))
-
-    def _set(self, ring: GradedRing, num: Numerators, den: int):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        num, den = ring._read(named())
+        _set_ring(self, ring)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _make(cls, ring: GradedRing, num: Numerators, den: int) -> RingElement:
         """An element from numerators and a denominator already in
         canonical form."""
-        element = object.__new__(cls)
-        element._set(ring, num, den)
+        element = _new(cls)
+        _set_ring(element, ring)
+        _set_num(element, num)
+        _set_den(element, den)
         return element
 
     @property
@@ -558,6 +573,17 @@ class RingElement(Record):
             raise ValueError(f"degree {k} outside [0, {ring.cutoff}]")
         part = _graded_numerators(self, k)[k]
         return RingElement._make(ring, *_canonical(part, self._den))
+
+    def graded_parts(self, top: int) -> list[RingElement]:
+        """The graded parts of degree 0..``top``, from one pass over the
+        terms."""
+        ring = self.ring
+        if top < 0 or top > ring.cutoff:
+            raise ValueError(f"degree {top} outside [0, {ring.cutoff}]")
+        return [
+            RingElement._make(ring, *_canonical(part, self._den))
+            for part in _graded_numerators(self, top)
+        ]
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
@@ -609,7 +635,8 @@ class RingElement(Record):
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # An element skips the ABC check of ``Fraction``.
+        if type(other) is not RingElement and isinstance(other, (int, Fraction)):
             num = {m: c * other.numerator for m, c in self._num.items()}
             return RingElement._make(
                 self.ring, *_canonical(num, self._den * other.denominator)
@@ -617,7 +644,14 @@ class RingElement(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return sum_of_products([(self, o)])
+        # A product by the unit 1 is the other factor; elements are immutable.
+        if o._den == 1 and o._num == _UNIT:
+            return self
+        if self._den == 1 and self._num == _UNIT:
+            return o
+        ring = self.ring
+        form = _sum_of_products(ring, [((self._num, self._den), (o._num, o._den))])
+        return RingElement._make(ring, *form)
 
     __rmul__ = __mul__
 
@@ -639,7 +673,7 @@ class RingElement(Record):
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RingElement and isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)
         if isinstance(other, RingElement):
             return (
@@ -656,13 +690,23 @@ class RingElement(Record):
         return f"RingElement({self})"
 
 
+# An element's fields are set through their slot descriptors, past the
+# ``__setattr__`` that makes every record immutable.
+_new = object.__new__
+_set_ring = RingElement.ring.__set__
+_set_num = RingElement._num.__set__
+_set_den = RingElement._den.__set__
+
+
 def sum_of_products(pairs: Sequence[tuple[RingElement, RingElement]]) -> RingElement:
     """The sum of a * b over a non-empty sequence of (a, b) pairs of one
     ring, normalized once."""
     ring = pairs[0][0].ring
-    if any(a.ring is not ring or b.ring is not ring for a, b in pairs):
-        raise RingMismatchError("elements belong to different rings")
-    forms = [((a._num, a._den), (b._num, b._den)) for a, b in pairs]
+    forms = []
+    for a, b in pairs:
+        if a.ring is not ring or b.ring is not ring:
+            raise RingMismatchError("elements belong to different rings")
+        forms.append(((a._num, a._den), (b._num, b._den)))
     return RingElement._make(ring, *_sum_of_products(ring, forms))
 
 
@@ -676,7 +720,11 @@ def _sum_of_products(
     memo = ring._memo
     entry = ring._entry
     cutoff = ring.cutoff
-    den = lcm(*(a_den * b_den for (_, a_den), (_, b_den) in pairs))
+    if len(pairs) == 1:
+        [((_, a_den), (_, b_den))] = pairs
+        den = a_den * b_den
+    else:
+        den = lcm(*(a_den * b_den for (_, a_den), (_, b_den) in pairs))
     num: Numerators = {}
     pending: Numerators = {}
     for (a, a_den), (b, b_den) in pairs:

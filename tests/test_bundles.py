@@ -516,3 +516,18 @@ def test_derived_bundles_need_no_recheck():
             assert ParabolicBundle(E.variety, G.summands).summands == G.summands
         total = chern_from_character(E.character + F.character, E.rank + F.rank)
         assert total == direct_sum(E, F).classes
+
+
+@pytest.mark.parametrize("weight", [Fraction(-1, 3), Fraction(1), Fraction(4, 3)])
+def test_weights_outside_the_unit_interval_are_rejected(surface, weight):
+    summand = (trivial_line(surface.ring), {"D1": weight})
+    with pytest.raises(InputError, match=r"weight must lie in \[0,1\)"):
+        ParabolicBundle(surface, (summand,))
+
+
+@pytest.mark.parametrize("weight", [0, Fraction(0), 0.25, "1/3", Fraction(2, 3)])
+def test_weights_are_read_as_fraction_reads_them(surface, weight):
+    E = ParabolicBundle(surface, ((trivial_line(surface.ring), {"D1": weight}),))
+    expected = (("D1", Fraction(weight)),) if Fraction(weight) else ()
+    assert E.summands[0][1] == expected
+    assert all(type(w) is Fraction for _, w in E.summands[0][1])

@@ -1,5 +1,8 @@
 import io
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +13,9 @@ import hypothesis.strategies as st
 from parachern.bundles import OrdinaryBundleClass, ParabolicBundle
 from parachern.chow import integrate
 from parachern.cli import evaluate_text, execute_scene, run
+from parachern import frontend
 from parachern.frontend import (
+    MAX_MONOMIALS,
     BundleDecl,
     ClassDecl,
     CommandDecl,
@@ -139,7 +144,7 @@ def reference_lex(text):
 
 def lexed(text):
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in _lex(text)]
+        return [(kind, lexeme, *pos) for kind, lexeme, pos in _lex(text)]
     except ParseError as exc:
         [diag] = exc.diagnostics
         return (diag.message, diag.line, diag.column)
@@ -655,3 +660,84 @@ def test_diagnostics_are_positioned():
             for diag in exc.diagnostics:
                 assert diag.line >= 1 and diag.column >= 1
         assert raised
+
+
+# --- the size cap ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("summand", ["E{D:1/2}", "O{D:1/2}"])
+def test_a_hostile_dimension_is_rejected_in_process(summand):
+    dim = 10**20 - 1
+    text = (
+        f"variety X dim {dim};\n"
+        "divisor D;\n"
+        "bundle E rank 1 chern 1 + D;\n"
+        f"parabolic P = {summand};\n"
+        "compute chern P;\n"
+    )
+    threads = threading.active_count()
+    started = time.perf_counter()
+    report = evaluate_text(text, "hostile.pch")
+    assert time.perf_counter() - started < 1.0
+    assert threading.active_count() == threads
+    assert report["exit_code"] == 3
+    [diag] = report["diagnostics"]
+    assert diag["message"] == (
+        f"variety exceeds the size cap of {MAX_MONOMIALS} monomials "
+        f"(dimension {dim}, generator count 1)"
+    )
+    assert (diag["line"], diag["column"]) == (1, 1)
+
+
+def test_the_size_cap_admits_the_dense_case(monkeypatch):
+    # Ten divisors on a fivefold: C(15, 5) = 3003 monomials up to degree 5.
+    divisors = [f"D{i}" for i in range(1, 11)]
+    pairs = " + ".join(
+        f"{a}*{b}" for i, a in enumerate(divisors) for b in divisors[i + 1 :]
+    )
+    text = f"variety X dim 5; divisor {', '.join(divisors)}; relation D10^2 = {pairs};"
+    ast = parse_program(text)
+    elaborate(ast)
+    monkeypatch.setattr(frontend, "MAX_MONOMIALS", 3003)
+    elaborate(ast)
+    monkeypatch.setattr(frontend, "MAX_MONOMIALS", 3002)
+    with pytest.raises(ElaborationError, match="size cap of 3002 monomials"):
+        elaborate(ast)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "variety X dim 4;",
+        "variety X dim 4; divisor D;",
+        "variety X dim 1; divisor A, B, C, D;",
+        "variety X dim 1; divisor A, B; class C deg 2; class D deg 3;",
+    ],
+)
+def test_a_dimension_or_generator_count_at_the_cap_fails_before_comb(
+    monkeypatch, text
+):
+    def no_comb(*args):
+        raise AssertionError("comb() ran")
+
+    monkeypatch.setattr(frontend, "MAX_MONOMIALS", 4)
+    monkeypatch.setattr(frontend, "comb", no_comb)
+    with pytest.raises(ElaborationError, match="size cap of 4 monomials") as err:
+        elaborate(parse_program(text))
+    diag = err.value.diagnostics[0]
+    assert (diag.line, diag.column) == (1, 1)
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        report = evaluate_text("variety X dim " + "9" * 641 + ";", "long.pch")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["exit_code"] == 2
+    [diag] = report["diagnostics"]
+    assert diag["message"] == "integer after 'dim' has too many digits"
+    assert (diag["line"], diag["column"]) == (1, 15)

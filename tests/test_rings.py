@@ -3,7 +3,7 @@ from itertools import product
 from math import comb, factorial, gcd
 
 import time
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1130,3 +1130,63 @@ def test_exp_of_zero_is_one(make_ring):
     ring = make_ring()
     assert exp_nilpotent(ring.zero()) == ring.one()
     assert_canonical(exp_nilpotent(ring.zero()))
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_a_product_by_one_is_the_other_factor(make_ring, data):
+    ring = make_ring()
+    x = RingElement(ring, data.draw(raw_terms(ring)))
+    one = ring.one()
+    assert x * one is x
+    # When x is 1 as well, the left factor comes back.
+    assert one * x is (one if x == 1 else x)
+    # A unit of another ring is still a foreign factor.
+    foreign = make_ring().one()
+    for left, right in ((x, foreign), (foreign, x), (one, foreign)):
+        with pytest.raises(RingMismatchError):
+            left * right
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+def test_sum_of_products_checks_every_factor(make_ring):
+    ring = make_ring()
+    x = ring.generator(ring.names[0])
+    with pytest.raises(RingMismatchError):
+        sum_of_products([(x, x), (x, ring.one()), (x, make_ring().one())])
+
+
+def test_computed_elements_reject_assignment_and_deletion(ring):
+    d1 = ring.generator("D1")
+    for x in (d1 * (d1 + 1), d1 * ring.one(), exp_nilpotent(d1 / 2)):
+        before = (x.ring, x._num, x._den)
+        for name in ("ring", "_num", "_den", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        for name in ("ring", "_num", "_den"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.ring, x._num, x._den) == before
+
+
+def test_element_reads_any_mapping_and_any_number(ring):
+    d1, h = ring.generator("D1"), ring.generator("H")
+    assert ring.element([(True, MappingProxyType({"D1": 2}))]) == d1**2
+    assert ring.element([(False, MappingProxyType({"D1": 1}))]).is_zero
+    assert ring.element([(True, [("D1", 1)]), (0.25, {"H": 1})]) == d1 + h / 4
+    assert ring.element([(Fraction(2, 3), (("D1", 1), ("H", 1)))]) == d1 * h * 2 / 3
+
+
+@pytest.mark.parametrize("make_ring", RING_FACTORIES)
+@given(data=st.data())
+def test_graded_parts_match_each_graded_part(make_ring, data):
+    ring = make_ring()
+    x = RingElement(ring, data.draw(raw_terms(ring)))
+    top = data.draw(st.integers(min_value=0, max_value=ring.cutoff))
+    parts = x.graded_parts(top)
+    assert parts == [x.graded_part(k) for k in range(top + 1)]
+    for part in parts:
+        assert_canonical(part)
+    for bad in (-1, ring.cutoff + 1):
+        with pytest.raises(ValueError):
+            x.graded_parts(bad)
