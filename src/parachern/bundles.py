@@ -6,23 +6,26 @@ component, named as in the variety's ``divisors``.  An ordinary bundle
 class is entered as a total Chern class and stored as its Chern character;
 the trivial line bundle ``O`` is stored with its character 1 directly,
 through no Newton bridge.  Each summand's twist, exp of its weighted
-divisors, is read by ``GradedRing.element`` from the weights as named
-terms.  Each bundle derives its data lazily and at most once, as properties:
-``order`` (the cover order), ``character`` and ``classes``, all on the
-base; and, for the verifiers only, ``cover``, the cover of minimal order
-with the character of the bundle induced on it.  ``dual``, ``tensor`` and
-``direct_sum`` build their summands in canonical form from checked
-bundles, so they skip the checks of ``ParabolicBundle(...)``.
+divisors, is multiplied into its character by ``rings._twisted_sum``
+straight from the (divisor, weight) pairs: no twist or exp element is
+built, and a bundle's character is one such sum.  Each bundle derives
+its data lazily and at most once, as properties: ``order`` (the cover
+order), ``character`` and ``classes``, all on the base; and, for the
+verifiers only, ``cover``, the cover of minimal order with the character
+of the bundle induced on it.  ``dual``, ``tensor`` and ``direct_sum``
+build their summands in canonical form from checked bundles, so they skip
+the checks of ``ParabolicBundle(...)``.
 
 Pullback to the cover is a graded ring isomorphism that commutes with the
 Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
 decides whether the base classes pull back to the cover classes; both
-verifiers report it.  The cover character pulls back each distinct
-summand class once and twists it by the integers order * w read from the
-weights, never by a pullback of the base twist, so the identity compares
-two independent computations.  The cover classes themselves,
-``cover_classes``, are derived only when a verifier needs them: for the
-residual of a failed identity, or to test explicitly given classes.
+verifiers report it.  The cover character transports the numerators of
+each distinct summand class once and twists them by the integers
+order * w on the cover divisors, read from the weights, never by a
+pullback of the base twist, so the identity compares two computations.
+The cover classes themselves, ``cover_classes``, are derived only when a
+verifier needs them: for the residual of a failed identity, or to test
+explicitly given classes.
 """
 
 from __future__ import annotations
@@ -33,17 +36,17 @@ from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .chow import COVER_PREFIX, CoverModel, Variety, make_cover
+from .chow import COVER_PREFIX, CoverModel, Variety, _transported, make_cover
 from .rings import (
     GradedRing,
     InputError,
+    NormalForm,
     Rational,
     Record,
     RingElement,
+    _twisted_sum,
     character_from_chern,
     chern_from_character,
-    exp_nilpotent,
-    sum_of_products,
 )
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
@@ -172,11 +175,9 @@ class ParabolicBundle(Record):
     def character(self) -> RingElement:
         """The full Chern character on the base: each summand's character
         twisted by exp of its weighted divisors."""
-        pairs = []
-        for bundle, weights in self.summands:
-            twist = self.ring.element((w, {name: 1}) for name, w in weights)
-            pairs.append((bundle.character, exp_nilpotent(twist)))
-        return sum_of_products(pairs)
+        ring = self.ring
+        pairs = [(_form(bundle.character), twist) for bundle, twist in self.summands]
+        return RingElement._make(ring, *_twisted_sum(ring, pairs))
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
@@ -210,6 +211,19 @@ def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     return ParabolicBundle._from_summands(E.variety, E.summands + F.summands)
 
 
+def _form(x: RingElement) -> NormalForm:
+    return x._num, x._den
+
+
+def _twisted(ch: RingElement, twist: list[tuple[str, Rational]]) -> RingElement:
+    """ch * exp(sum w * D) over the (divisor, weight) pairs of ``twist``;
+    ch itself when there are none."""
+    if not twist:
+        return ch
+    ring = ch.ring
+    return RingElement._make(ring, *_twisted_sum(ring, [(_form(ch), twist)]))
+
+
 def _conjugate_character(ch: RingElement) -> RingElement:
     # Negating every Chern root flips the sign of the odd graded parts.
     memo = ch.ring._memo
@@ -223,8 +237,8 @@ def dual(E: ParabolicBundle) -> ParabolicBundle:
     by minus that divisor."""
     out = []
     for bundle, weights in E.summands:
-        twist = E.ring.element((-1, {name: 1}) for name, _ in weights)
-        ch = _conjugate_character(bundle.character) * exp_nilpotent(twist)
+        twist = [(name, -1) for name, _ in weights]
+        ch = _twisted(_conjugate_character(bundle.character), twist)
         dual_bundle = OrdinaryBundleClass._from_character(bundle.rank, ch)
         out.append((dual_bundle, tuple((name, 1 - w) for name, w in weights)))
     return ParabolicBundle._from_summands(E.variety, tuple(out))
@@ -247,21 +261,21 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
                 s = map_v.get(name, 0) + map_w.get(name, 0)
                 if s >= 1:
                     s -= 1
-                    wrapped.append((1, {name: 1}))
+                    wrapped.append((name, 1))
                 if s:
                     weights.append((name, s))
-            twist = E.ring.element(wrapped)
-            ch = bv.character * bw.character * exp_nilpotent(twist)
+            ch = _twisted(bv.character * bw.character, wrapped)
             bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
             out.append((bundle, tuple(weights)))
     return ParabolicBundle._from_summands(E.variety, tuple(out))
 
 
 def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
-    """The ordinary bundle class induced on the cover: each summand's
-    character is pulled back and twisted by the integer multiples
-    (order * weight) of the cover divisors.  A class that several summands
-    share is pulled back once per call."""
+    """The ordinary bundle class induced on the cover: the sum over the
+    summands of the class's character, transported upstairs as
+    :meth:`CoverModel.pullback` transports it, times exp of the integer
+    multiples order * w of the cover divisors ``~D``, in one twisted sum.
+    A class that several summands share is transported once per call."""
     if cm.base is not E.variety:
         raise ValueError("cover is not over this bundle's variety")
     n = E.order
@@ -269,18 +283,21 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
         raise ValueError(
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
         )
-    pulled: dict[OrdinaryBundleClass, RingElement] = {}
+    seeds: dict[OrdinaryBundleClass, NormalForm] = {}
     pairs = []
     for bundle, weights in E.summands:
-        if bundle not in pulled:
-            pulled[bundle] = cm.pullback(bundle.character)
+        if bundle not in seeds:
+            ch = bundle.character
+            seeds[bundle] = (_transported(E.variety, cm.order, ch._num), ch._den)
         # Each weight's denominator divides n, so order * w is an integer.
-        twist = cm.cover_ring.element(
-            (cm.order // w.denominator * w.numerator, {COVER_PREFIX + name: 1})
+        twist = [
+            (COVER_PREFIX + name, cm.order // w.denominator * w.numerator)
             for name, w in weights
-        )
-        pairs.append((pulled[bundle], exp_nilpotent(twist)))
-    return OrdinaryBundleClass._from_character(E.rank, sum_of_products(pairs))
+        ]
+        pairs.append((seeds[bundle], twist))
+    ring = cm.cover_ring
+    character = RingElement._make(ring, *_twisted_sum(ring, pairs))
+    return OrdinaryBundleClass._from_character(E.rank, character)
 
 
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:

@@ -23,6 +23,7 @@ from .rings import (
     RingElement,
     RingMismatchError,
     RuleSpec,
+    _positive_integer,
     format_monomial,
 )
 
@@ -66,7 +67,7 @@ class Variety(Record):
         relations: Iterable[RuleSpec] = (),
         integrals: Mapping | Iterable = (),
     ):
-        if int(dim) < 1:
+        if _positive_integer(dim) is None:
             raise ValueError("variety dimension must be at least 1")
         divisors = tuple(divisors)
         generators = [(name, 1) for name in divisors]
@@ -161,9 +162,9 @@ def make_cover(variety: Variety, order: int) -> CoverModel:
     order, and each base relation row becomes a cover row with every term
     scaled as :meth:`CoverModel.pullback` scales it; a row's scale leaves
     the normal forms unchanged."""
-    if int(order) < 1:
+    order = _positive_integer(order)
+    if order is None:
         raise ValueError("cover order must be a positive integer")
-    order = int(order)
     base = variety.ring
     n = len(variety.divisors)
     generators = [(COVER_PREFIX + name, 1) for name in variety.divisors]

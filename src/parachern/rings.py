@@ -30,10 +30,14 @@ no second one; an int stays an int, and any other number becomes one
 `Fraction`.  `format_terms` prints text that `printed_terms` writes from
 integer numerators.  Each ring memoizes the normal form and the text of
 every monomial it meets, so reduction runs once per monomial and ring
-rather than once per product.  Every product, sum of products and exp is
-one integer expansion, normalized once; a product by the unit 1 is the
-other factor itself.  The kernel builds each element from a canonical form
-through `RingElement._make`, which sets the three slots through their
+rather than once per product.  Every product, sum of products and
+twisted sum sum_j x_j * exp(t_j) is one integer expansion, normalized
+once; a product by the unit 1 is the other factor itself.  A twisted sum
+reads each twist t_j from (generator, weight) pairs and seeds the exp
+series with x_j's numerators, so neither t_j nor its exp is ever an
+element; :func:`exp_nilpotent` runs the same loop seeded with 1.  The
+kernel builds each element from a canonical form through
+`RingElement._make`, which sets the three slots through their
 descriptors.  Nothing here touches floating point.
 
 The Newton bridges split their input into graded numerators in one pass,
@@ -120,6 +124,15 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _positive_integer(value) -> Optional[int]:
+    """``value`` as an int when it is a whole number of at least 1, else
+    None; a value that ``int`` cannot read raises as ``int`` does.  A size
+    such as a degree, a rank or an order is read through here, so 2.5 is
+    rejected rather than truncated to 2."""
+    whole = int(value)
+    return whole if whole == value and whole >= 1 else None
+
+
 def _canonical(num: Numerators, den: int) -> NormalForm:
     """Drop zero numerators and divide out the common gcd with ``den``."""
     values = num.values()
@@ -178,15 +191,17 @@ class GradedRing:
                 raise InputError("generator names must be non-empty strings", *at)
             if name in names:
                 raise InputError(f"duplicate generator name {name!r}", *at)
-            if int(degree) < 1:
+            degree = _positive_integer(degree)
+            if degree is None:
                 raise InputError("class degree must be at least 1", *at)
             names.append(name)
-            degrees.append(int(degree))
-        if int(cutoff) < 1:
+            degrees.append(degree)
+        cutoff = _positive_integer(cutoff)
+        if cutoff is None:
             raise ValueError("cutoff must be a positive integer")
         self._names = tuple(names)
         self._degrees = tuple(degrees)
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff
         width = self._width = self.cutoff.bit_length() + 1
         self._shifts = tuple(width * i for i in reversed(range(len(names))))
         # Generator name -> (field shift, degree), for the one reader.
@@ -784,42 +799,101 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     """Exponential sum(a^k / k!) of an element with vanishing degree-0 part.
 
     Finite because a^k has degree at least k, which exceeds the cutoff for
-    large k.  For a = sum_i c_i m_i / den, one dict per degree holds
-    numerators over den^top * top!, top = cutoff, and each term multiplies
-    its series in: an entry v at m adds v c_i^k / (den^k k!) at m + k m_i
-    for each k within the cutoff, as v * c_i // (den * k).  That is exact,
-    since every summand at degree e is c^k_1... den^(top - K) top! / k_1!...
-    with K = k_1 + ... <= e.  Entries merge by monomial, which bounds the
-    work by terms x monomials x (cutoff + 1).  Satisfies
-    exp(a) * exp(b) = exp(a + b).
+    large k.  The series is that of :func:`_exp_sum`, seeded with 1.
+    Satisfies exp(a) * exp(b) = exp(a + b).
     """
     if 0 in a._num:
         raise ValueError("exp_nilpotent requires a vanishing degree-0 part")
     ring = a.ring
     if not a._num:
         return ring.one()
+    memo, den = ring._memo, a._den
+    twist = [(m, memo[m][0], c, den) for m, c in a._num.items()]
+    return RingElement._make(ring, *_exp_sum(ring, [(_UNIT, 1, twist, den)]))
+
+
+def _twisted_sum(
+    ring: GradedRing,
+    pairs: Iterable[tuple[NormalForm, Iterable[tuple[str, Rational]]]],
+) -> NormalForm:
+    """Canonical form of sum x * exp(sum w * G) over (x, twist) pairs: x a
+    form over any packed monomials at or below the cutoff, the twist
+    (generator name, weight) pairs, read from the names without an element
+    of its own; zero weights are skipped."""
+    fields = ring._fields
+    summands = []
+    for (num, den), weights in pairs:
+        twist = []
+        twist_den = 1
+        for name, w in weights:
+            if w:
+                shift, step = fields[name]
+                d = w.denominator
+                twist.append((1 << shift, step, w.numerator, d))
+                if twist_den % d:
+                    twist_den *= d // gcd(twist_den, d)
+        summands.append((num, den, twist, twist_den))
+    return _exp_sum(ring, summands)
+
+
+def _exp_sum(
+    ring: GradedRing,
+    summands: Sequence[
+        tuple[Numerators, int, Sequence[tuple[int, int, int, int]], int]
+    ],
+) -> NormalForm:
+    """Canonical form of sum x * exp(t) over summands (x numerators, x
+    denominator, t terms, den), t = sum_i c_i m_i / d_i from terms (m_i,
+    degree of m_i >= 1, c_i, d_i), each d_i dividing den, in one integer
+    expansion.
+
+    For each summand one dict per degree holds numerators over
+    x_den * den^top * top!, top = cutoff, seeded with x's numerators times
+    den^top * top!.  Each twist term then multiplies its series in: an
+    entry v at m adds v c_i^k / (d_i^k k!) at m + k m_i for each k within
+    the cutoff, as v * c_i // (d_i * k).  That is exact, since every
+    summand at degree e is a seed times c_1^k_1... / (d_1^k_1 k_1!...)
+    with K = k_1 + ... <= e, and d_1^k_1... divides den^K.  Entries merge by
+    monomial, which bounds the work by terms x monomials x (cutoff + 1).
+    Every summand's entries then join one set of numerators over the lcm
+    of the summands' denominators, normalized once by one ``_expand``."""
     memo = ring._memo
+    entry = ring._entry
     cutoff = ring.cutoff
-    den = a._den
-    scale = den**cutoff * factorial(cutoff)
-    layers: list[Numerators] = [{} for _ in range(cutoff + 1)]
-    layers[0][0] = scale
-    for mono, c in a._num.items():
-        step = memo[mono][0]
-        # Top layer first, so that no entry spawned by this term spawns again.
-        for degree in range(cutoff - step, -1, -1):
-            for m, value in layers[degree].items():
-                for k, grown in enumerate(range(degree + step, cutoff + 1, step), 1):
-                    m += mono
-                    value = value * c // (den * k)
-                    layers[grown][m] = layers[grown].get(m, 0) + value
+    degrees = range(cutoff + 1)
+    fact = factorial(cutoff)
+    # Each summand's own denominator x_den * den^top, and their lcm.
+    owns = [x_den * den**cutoff for _, x_den, _, den in summands]
+    total = lcm(*owns)
     num: Numerators = {}
     pending: Numerators = {}
-    for degree, layer in enumerate(layers):
-        for m, value in layer.items():
-            form = (memo.get(m) or ring._entry(m, degree))[1]
-            (num if form is None else pending)[m] = value
-    return RingElement._make(ring, *ring._expand(num, scale, pending))
+    for (x, x_den, twist, den), own in zip(summands, owns):
+        scale = own // x_den * fact
+        layers: list[Numerators] = [{} for _ in degrees]
+        for m, c in x.items():
+            # A seed monomial may be new to the ring, so its degree is read
+            # from its exponents on a miss.
+            degree = (
+                memo.get(m) or entry(m, ring.monomial_degree(ring._unpack(m)))
+            )[0]
+            layers[degree][m] = c * scale
+        for mono, step, c, d in twist:
+            # Top layer first, so that no entry spawned by this term spawns
+            # again.
+            for degree in range(cutoff - step, -1, -1):
+                chain = range(degree + step, cutoff + 1, step)
+                for m, value in layers[degree].items():
+                    for k, grown in enumerate(chain, 1):
+                        m += mono
+                        value = value * c // (d * k)
+                        layers[grown][m] = layers[grown].get(m, 0) + value
+        lift = total // own
+        for degree in degrees:
+            for m, value in layers[degree].items():
+                form = (memo.get(m) or entry(m, degree))[1]
+                target = num if form is None else pending
+                target[m] = target.get(m, 0) + value * lift
+    return ring._expand(num, total * fact, pending)
 
 
 def _graded_numerators(x: RingElement, top: int) -> list[Numerators]:
@@ -839,9 +913,9 @@ def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement
     k c_k = c_0 s_k + c_1 s_(k-1) + ... + c_(k-1) s_1, one sum of products
     per class.  Classes above the ring cutoff come back as zero.
     """
-    if int(rank) < 1:
+    rank = _positive_integer(rank)
+    if rank is None:
         raise ValueError("rank must be a positive integer")
-    rank = int(rank)
     ring, den = character.ring, character._den
     top = min(rank, ring.cutoff)
     parts = _graded_numerators(character, top)
@@ -868,9 +942,9 @@ def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
     identities solved for s_k = (-1)^(k+1) k! ch_k give
     s_k = k c_k - c_1 s_(k-1) - ... - c_(k-1) s_1.
     """
-    if int(rank) < 1:
+    rank = _positive_integer(rank)
+    if rank is None:
         raise ValueError("bundle rank must be at least 1")
-    rank = int(rank)
     ring, den = total_chern.ring, total_chern._den
     parts = _graded_numerators(total_chern, ring.cutoff)
     if parts[0] != {0: den}:

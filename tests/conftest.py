@@ -1,4 +1,14 @@
 import hypothesis
 
 hypothesis.settings.register_profile("ci", deadline=None, max_examples=60)
+# For runs that expect failures, such as a mutation check: no shrink phase
+# and no example database, so a failing property test stops at its first
+# counterexample and no run replays another's.  Select it with
+# ``pytest --hypothesis-profile=mutation -x``.
+hypothesis.settings.register_profile(
+    "mutation",
+    parent=hypothesis.settings.get_profile("ci"),
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
+    database=None,
+)
 hypothesis.settings.load_profile("ci")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from parachern.chow import CoverModel, Variety, integrate, make_cover
+from parachern import bundles
+from parachern.chow import Variety, integrate, make_cover
 from parachern.bundles import (
     OrdinaryBundleClass,
     ParabolicBundle,
@@ -19,6 +20,7 @@ from parachern.bundles import (
     trivial_line,
 )
 from parachern.rings import (
+    GradedRing,
     InputError,
     character_from_chern,
     chern_from_character,
@@ -84,6 +86,33 @@ def test_ordinary_bundle_validation(surface):
         OrdinaryBundleClass(1, 1 + d1 + d1 ** 2)  # degree-2 part above rank 1
     ok = OrdinaryBundleClass(2, 1 + d1 + d1 ** 2)
     assert chern_from_character(ok.character, ok.rank) == (ring.one(), d1, d1 ** 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: GradedRing([("D", 1.5)], 2), "class degree must be at least 1"),
+        (lambda v: GradedRing([("D", 1)], 2.7), "cutoff must be a positive integer"),
+        (lambda v: Variety(2.9, ["D"]), "variety dimension must be at least 1"),
+        (
+            lambda v: OrdinaryBundleClass(2.5, v.ring.one()),
+            "bundle rank must be at least 1",
+        ),
+        (
+            lambda v: chern_from_character(2 * v.ring.one(), 2.5),
+            "rank must be a positive integer",
+        ),
+        (lambda v: make_cover(v, 2.5), "cover order must be a positive integer"),
+        (lambda v: make_cover(v, "2"), "cover order must be a positive integer"),
+    ],
+    ids=["degree", "cutoff", "dim", "rank", "newton-rank", "order", "order-text"],
+)
+def test_non_integral_sizes_are_rejected(surface, build, message):
+    # int() alone would read each of these as 1 or 2, silently: degree 1,
+    # cutoff 2, dim 2, rank 2 and order 2.
+    with pytest.raises(ValueError) as raised:
+        build(surface)
+    assert str(raised.value) == message
 
 
 def test_parabolic_validation(surface):
@@ -295,8 +324,8 @@ def test_cover_bundle_requires_compatible_order(surface):
 
 
 def test_cover_character_sums_the_summands(surface, monkeypatch):
-    # V{D1:1/2} (+) V{D1:1/3} (+) O{}: the class V is pulled back once and
-    # serves both of its summands, each with its own cover twist.
+    # V{D1:1/2} (+) V{D1:1/3} (+) O{}: the numerators of V are transported
+    # once and serve both of its summands, each with its own cover twist.
     ring = surface.ring
     d1 = ring.generator("D1")
     V = OrdinaryBundleClass(2, 1 + d1 + d1 ** 2)
@@ -309,13 +338,16 @@ def test_cover_character_sums_the_summands(surface, monkeypatch):
     t = cm.divisor("D1")
     up = cm.pullback(V.character)
     expected = up * exp_nilpotent(3 * t) + up * exp_nilpotent(2 * t) + 1
-    pulled = []
-    pullback = CoverModel.pullback
+    transported = []
+    transport = bundles._transported
     monkeypatch.setattr(
-        CoverModel, "pullback", lambda cm, a: pulled.append(a) or pullback(cm, a)
+        bundles,
+        "_transported",
+        lambda variety, order, num: transported.append(num)
+        or transport(variety, order, num),
     )
     assert cover_bundle(E, cm).character == expected
-    assert pulled == [V.character, O.character]
+    assert transported == [V.character._num, O.character._num]
 
 
 # --- Chern data --------------------------------------------------------------

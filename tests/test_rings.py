@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import time
 from types import MappingProxyType, SimpleNamespace
@@ -17,6 +17,7 @@ from parachern.rings import (
     RingElement,
     InputError,
     RingMismatchError,
+    _twisted_sum,
     character_from_chern,
     chern_from_character,
     exp_nilpotent,
@@ -942,6 +943,54 @@ def test_exp_matches_the_plain_series(make_ring, data):
     ring = make_ring()
     a = data.draw(elements(ring).map(lambda x: x - x.graded_part(0)))
     assert exp_nilpotent(a) == series_exp(a)
+
+
+def twists(ring):
+    """(generator, weight) pairs, none to three: negative weights as a dual
+    twists by, whole ones as a cover does, zero ones, and denominators up to
+    10**6, so that every floor division of a seeded step must be exact."""
+    weight = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    )
+    return st.lists(st.tuples(st.sampled_from(ring.names), weight), max_size=3)
+
+
+@st.composite
+def raw_seeds(draw, ring):
+    """(x, its numerators and denominator): x from raw terms at or below the
+    cutoff, its numerators over packed monomials as written, non-normal
+    ones included, as a seed of a twisted sum may be."""
+    raw = {
+        mono: c
+        for mono, c in draw(raw_terms(ring)).items()
+        if ring.monomial_degree(mono) <= ring.cutoff
+    }
+    den = lcm(*(c.denominator for c in raw.values()))
+    num = {ring._pack(mono): int(c * den) for mono, c in raw.items() if c}
+    return RingElement(ring, raw), (num, den)
+
+
+@pytest.mark.parametrize("make_ring", [class_ring, threefold_ring] + RING_FACTORIES)
+@given(data=st.data())
+def test_twisted_sum_matches_the_plain_series(make_ring, data):
+    # A fresh ring per example, so that seed monomials are new to its memo.
+    ring = make_ring()
+    pairs = data.draw(st.lists(st.tuples(raw_seeds(ring), twists(ring)), max_size=3))
+    expected = ring.zero()
+    for (x, _), twist in pairs:
+        expected += x * series_exp(ring.element((w, {name: 1}) for name, w in twist))
+    form = _twisted_sum(ring, [(seed, twist) for (_, seed), twist in pairs])
+    total = RingElement._make(ring, *form)
+    assert total == expected
+    assert_canonical(total)
+    # exp is the twist of 1.
+    twist = data.draw(twists(ring))
+    a = ring.element((w, {name: 1}) for name, w in twist)
+    assert exp_nilpotent(a) == RingElement._make(
+        ring, *_twisted_sum(ring, [(({0: 1}, 1), twist)])
+    )
 
 
 def reference_print(x):
