@@ -44,6 +44,7 @@ from .rings import (
     Rational,
     Record,
     RingElement,
+    _conjugate_character,
     _twisted_sum,
     character_from_chern,
     chern_from_character,
@@ -222,13 +223,6 @@ def _twisted(ch: RingElement, twist: list[tuple[str, Rational]]) -> RingElement:
         return ch
     ring = ch.ring
     return RingElement._make(ring, *_twisted_sum(ring, [(_form(ch), twist)]))
-
-
-def _conjugate_character(ch: RingElement) -> RingElement:
-    # Negating every Chern root flips the sign of the odd graded parts.
-    memo = ch.ring._memo
-    num = {m: -c if memo[m][0] % 2 else c for m, c in ch._num.items()}
-    return RingElement._make(ch.ring, num, ch._den)
 
 
 def dual(E: ParabolicBundle) -> ParabolicBundle:

@@ -145,7 +145,7 @@ class CoverModel(Record):
             raise RingMismatchError("element does not belong to the base ring")
         num = _transported(self.base, self.order, a._num)
         ring = self.cover_ring
-        return RingElement._make(ring, *ring._rewrite(num, a._den))
+        return RingElement._make(ring, *ring._expand(num, a._den))
 
 
 def _transported(variety: Variety, order: int, num: dict) -> dict:

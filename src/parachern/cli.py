@@ -203,6 +203,7 @@ def evaluate_text(
 
 
 def _entry_text(entry: dict) -> str:
+    """One result as a text line, with its timing when it has one."""
     command = entry["command"]
     if command.startswith("compute"):
         target = entry["target"]
@@ -216,26 +217,27 @@ def _entry_text(entry: dict) -> str:
             )
             if "polynomial" in entry:
                 line += f" polynomial={entry['polynomial']}"
-        return line
-    if command == "verify prop1":
+    elif command == "verify prop1":
         a, b = entry["targets"]
         flags = {
             key: "PASS" if entry[key] else "FAIL"
             for key in ("passed", "whitney", "dual", "tensor")
         }
-        return (
+        line = (
             f"{command} {a} {b}: {flags['passed']} "
             f"whitney={flags['whitney']} dual={flags['dual']} "
             f"tensor={flags['tensor']}"
         )
-    target = entry["target"]
-    status = "PASS" if entry["passed"] else "FAIL"
-    line = (
-        f"{command} {target}: {status} rank={entry['rank']} "
-        f"cover_order={entry['cover_order']}"
-    )
-    if entry.get("residual"):
-        line += f" residual=[{', '.join(entry['residual'])}]"
+    else:
+        status = "PASS" if entry["passed"] else "FAIL"
+        line = (
+            f"{command} {entry['target']}: {status} rank={entry['rank']} "
+            f"cover_order={entry['cover_order']}"
+        )
+        if entry.get("residual"):
+            line += f" residual=[{', '.join(entry['residual'])}]"
+    if "timing_ms" in entry:
+        line += f" timing_ms={entry['timing_ms']}"
     return line
 
 
@@ -248,10 +250,7 @@ def _render_text(report: dict, stdout, stderr):
             file=stderr,
         )
     for entry in report.get("results", ()):
-        line = _entry_text(entry)
-        if "timing_ms" in entry:
-            line += f" timing_ms={entry['timing_ms']}"
-        print(line, file=stdout)
+        print(_entry_text(entry), file=stdout)
     for scene_report in report.get("scenes", ()):
         print(f"scene {scene_report['name']} seed={scene_report['seed']}", file=stdout)
         for entry in scene_report.get("results", ()):

@@ -28,17 +28,22 @@ that `terms` and `sorted_terms` hand out, and any `Fraction` coefficient
 handed to the reader, which reads its numerator and denominator and builds
 no second one; an int stays an int, and any other number becomes one
 `Fraction`.  `format_terms` prints text that `printed_terms` writes from
-integer numerators.  Each ring memoizes the normal form and the text of
-every monomial it meets, so reduction runs once per monomial and ring
-rather than once per product.  Every product, sum of products and
-twisted sum sum_j x_j * exp(t_j) is one integer expansion, normalized
-once; a product by the unit 1 is the other factor itself.  A twisted sum
-reads each twist t_j from (generator, weight) pairs and seeds the exp
-series with x_j's numerators, so neither t_j nor its exp is ever an
-element; :func:`exp_nilpotent` runs the same loop seeded with 1.  The
-kernel builds each element from a canonical form through
-`RingElement._make`, which sets the three slots through their
-descriptors.  Nothing here touches floating point.
+integer numerators.  Each ring memoizes the text of every monomial it
+prints, and the degree and normal form of every monomial it meets, so
+reduction runs once per monomial and ring rather than once per product.
+Normal forms have one door, `GradedRing._expand`: the reader, every
+product, sum of products and twisted sum sum_j x_j * exp(t_j), the
+pullback to a cover and each pivot of a block reduction gather one plain
+dict of numerators over any monomials and pass it through once.  There
+`GradedRing._entry` looks each monomial up, reading a new one's degree
+from its packed int, and a non-normal one gives way to its normal form; a
+product by the unit 1 is the other factor itself.  A twisted sum reads
+each twist t_j from (generator, weight) pairs and seeds the exp series
+with x_j's numerators, so neither t_j nor its exp is ever an element;
+:func:`exp_nilpotent` runs the same loop seeded with 1.  The kernel
+builds each element from a canonical form through `RingElement._make`,
+which sets the three slots through their descriptors.  Nothing here
+touches floating point.
 
 The Newton bridges split their input into graded numerators in one pass,
 take each step on (numerators, denominator) forms through the loop behind
@@ -207,6 +212,8 @@ class GradedRing:
         # Generator name -> (field shift, degree), for the one reader.
         self._fields = dict(zip(names, zip(self._shifts, degrees)))
         self._mask = (1 << width) - 1
+        # (field shift, degree - 1) of each generator of degree above 1.
+        self._heavy = tuple((s, d - 1) for s, d in zip(self._shifts, degrees) if d > 1)
         self._guard = sum(1 << (shift + width - 1) for shift in self._shifts)
         # Packed monomial at or below the cutoff -> (degree, normal form),
         # where the form is None for a normal monomial; every monomial of
@@ -321,7 +328,7 @@ class GradedRing:
             if i == n:
                 if remaining == 0:
                     mono = tuple(acc)
-                    if self._entry(self._pack(mono), degree)[1] is None:
+                    if self._entry(self._pack(mono))[1] is None:
                         out.append(mono)
                 return
             step = self._degrees[i]
@@ -358,15 +365,11 @@ class GradedRing:
         """Canonical form of named terms: each monomial is read by
         :meth:`_key`, a term above the cutoff is dropped once all its
         factors are checked, and each coefficient's numerator joins the
-        others over a running common denominator, split into normal and
-        pending monomials at its known degree as :func:`sum_of_products`
-        splits them."""
+        others over a running common denominator; :meth:`_expand`
+        normalizes the sum."""
         key = self._key
         cutoff = self.cutoff
-        memo = self._memo
-        entry = self._entry
         num: Numerators = {}
-        pending: Numerators = {}
         den = 1
         for coeff, spec in terms:
             packed, degree = key(spec)
@@ -382,22 +385,24 @@ class GradedRing:
             d = coeff.denominator
             if den % d:
                 scale = d // gcd(den, d)
-                for part in (num, pending):
-                    for m in part:
-                        part[m] *= scale
+                for m in num:
+                    num[m] *= scale
                 den *= scale
-            form = (memo.get(packed) or entry(packed, degree))[1]
-            target = num if form is None else pending
-            target[packed] = target.get(packed, 0) + coeff.numerator * (den // d)
-        return self._expand(num, den, pending)
+            num[packed] = num.get(packed, 0) + coeff.numerator * (den // d)
+        return self._expand(num, den)
 
-    def _entry(self, mono: int, degree: int) -> tuple[int, Optional[NormalForm]]:
-        """Degree and normal form of a packed monomial of that degree at or
-        below the cutoff; the form is None when the monomial is normal.
-        Fills the memo on first use.  A monomial that no relation term
+    def _entry(self, mono: int) -> tuple[int, Optional[NormalForm]]:
+        """Degree and normal form of a packed monomial at or below the
+        cutoff; the form is None when the monomial is normal.  Fills the
+        memo on first use.  The degree is the total exponent, read as
+        `_leading_exponent` reads it, plus (d - 1) * e for each generator
+        of degree d > 1 and exponent e.  A monomial that no relation term
         divides lies in no row, so it is normal without a block reduced."""
         entry = self._memo.get(mono)
         if entry is None:
+            degree = self._leading_exponent(mono, len(self._names))
+            for shift, extra in self._heavy:
+                degree += (mono >> shift & self._mask) * extra
             guard = self._guard
             lifted = mono | guard
             if any((lifted - t) & guard == guard for r in self._relations for t in r):
@@ -461,37 +466,32 @@ class GradedRing:
             lead = tail.pop(leader)
             sign = -1 if lead > 0 else 1
             tail = {t: sign * c for t, c in tail.items()}
-            memo[leader] = (degree, self._rewrite(tail, abs(lead)))
+            memo[leader] = (degree, self._expand(tail, abs(lead)))
 
-    def _expand(self, num: Numerators, den: int, pending: Numerators) -> NormalForm:
-        """Canonical form of (num + normal forms of the pending monomials)
-        / den.  ``num`` holds normal monomials only and may be consumed;
-        every pending monomial is memoized."""
-        if pending:
-            forms = [(self._memo[m][1], c) for m, c in pending.items()]
-            scale = lcm(*(form_den for (_, form_den), _ in forms))
+    def _expand(self, num: Numerators, den: int) -> NormalForm:
+        """Canonical form of ``num / den`` over any packed monomials at or
+        below the cutoff: each monomial is looked up once, and a non-normal
+        one gives way to its normal form.  ``num`` may be consumed; every
+        monomial is memoized."""
+        memo = self._memo
+        entry = self._entry
+        forms = []
+        for m, c in num.items():
+            form = (memo.get(m) or entry(m))[1]
+            if form is not None:
+                forms.append((m, form, c))
+        if forms:
+            for m, _, _ in forms:
+                del num[m]
+            scale = lcm(*(form_den for _, (_, form_den), _ in forms))
             if scale != 1:
                 num = {m: c * scale for m, c in num.items()}
                 den *= scale
-            for (form_num, form_den), c in forms:
+            for _, (form_num, form_den), c in forms:
                 c *= scale // form_den
                 for m, fc in form_num.items():
                     num[m] = num.get(m, 0) + c * fc
         return _canonical(num, den)
-
-    def _rewrite(self, num: Numerators, den: int) -> NormalForm:
-        """Canonical form of ``num / den`` over any packed monomials at or
-        below the cutoff."""
-        normal: Numerators = {}
-        pending: Numerators = {}
-        memo = self._memo
-        for mono, c in num.items():
-            form = (
-                memo.get(mono)
-                or self._entry(mono, self.monomial_degree(self._unpack(mono)))
-            )[1]
-            (normal if form is None else pending)[mono] = c
-        return self._expand(normal, den, pending)
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self._names, self._degrees))
@@ -733,7 +733,6 @@ def _sum_of_products(
     necessarily reduced: every product term joins one set of numerators
     over the least common denominator, normalized once."""
     memo = ring._memo
-    entry = ring._entry
     cutoff = ring.cutoff
     if len(pairs) == 1:
         [((_, a_den), (_, b_den))] = pairs
@@ -741,13 +740,12 @@ def _sum_of_products(
     else:
         den = lcm(*(a_den * b_den for (_, a_den), (_, b_den) in pairs))
     num: Numerators = {}
-    pending: Numerators = {}
     for (a, a_den), (b, b_den) in pairs:
         scale = den // (a_den * b_den)
         if len(b) == 1 and 0 in b:
             a, b = b, a
         if len(a) == 1 and 0 in a:
-            # A constant factor: the other's monomials are already normal.
+            # A constant factor scales the other's numerators: no product.
             scale *= a[0]
             for m, c in b.items():
                 num[m] = num.get(m, 0) + scale * c
@@ -756,17 +754,14 @@ def _sum_of_products(
         # stops at the first product above the cutoff.
         right = sorted(((memo[m][0], m, c) for m, c in b.items()), key=itemgetter(0))
         for ma, ca in a.items():
-            start = memo[ma][0]
-            room = cutoff - start
+            room = cutoff - memo[ma][0]
             ca *= scale
             for degree, mb, cb in right:
                 if degree > room:
                     break
                 prod = ma + mb
-                form = (memo.get(prod) or entry(prod, start + degree))[1]
-                target = num if form is None else pending
-                target[prod] = target.get(prod, 0) + ca * cb
-    return ring._expand(num, den, pending)
+                num[prod] = num.get(prod, 0) + ca * cb
+    return ring._expand(num, den)
 
 
 def format_monomial(factors: Iterable[tuple[str, int]]) -> str:
@@ -845,18 +840,19 @@ def _exp_sum(
     """Canonical form of sum x * exp(t) over summands (x numerators, x
     denominator, t terms, den), t = sum_i c_i m_i / d_i from terms (m_i,
     degree of m_i >= 1, c_i, d_i), each d_i dividing den, in one integer
-    expansion.
+    expansion; x may hold any monomials at or below the cutoff.
 
     For each summand one dict per degree holds numerators over
     x_den * den^top * top!, top = cutoff, seeded with x's numerators times
-    den^top * top!.  Each twist term then multiplies its series in: an
-    entry v at m adds v c_i^k / (d_i^k k!) at m + k m_i for each k within
-    the cutoff, as v * c_i // (d_i * k).  That is exact, since every
-    summand at degree e is a seed times c_1^k_1... / (d_1^k_1 k_1!...)
-    with K = k_1 + ... <= e, and d_1^k_1... divides den^K.  Entries merge by
-    monomial, which bounds the work by terms x monomials x (cutoff + 1).
-    Every summand's entries then join one set of numerators over the lcm
-    of the summands' denominators, normalized once by one ``_expand``."""
+    den^top * top!, each in the layer of the degree that ``_entry`` reads.
+    Each twist term then multiplies its series in: an entry v at m adds
+    v c_i^k / (d_i^k k!) at m + k m_i for each k within the cutoff, as
+    v * c_i // (d_i * k).  That is exact, since every summand at degree e
+    is a seed times c_1^k_1... / (d_1^k_1 k_1!...) with K = k_1 + ... <= e,
+    and d_1^k_1... divides den^K.  Entries merge by monomial, which bounds
+    the work by terms x monomials x (cutoff + 1).  Every summand's entries,
+    normal or not, then join one set of numerators over the lcm of the
+    summands' denominators, which one ``_expand`` normalizes."""
     memo = ring._memo
     entry = ring._entry
     cutoff = ring.cutoff
@@ -866,17 +862,11 @@ def _exp_sum(
     owns = [x_den * den**cutoff for _, x_den, _, den in summands]
     total = lcm(*owns)
     num: Numerators = {}
-    pending: Numerators = {}
     for (x, x_den, twist, den), own in zip(summands, owns):
         scale = own // x_den * fact
         layers: list[Numerators] = [{} for _ in degrees]
         for m, c in x.items():
-            # A seed monomial may be new to the ring, so its degree is read
-            # from its exponents on a miss.
-            degree = (
-                memo.get(m) or entry(m, ring.monomial_degree(ring._unpack(m)))
-            )[0]
-            layers[degree][m] = c * scale
+            layers[(memo.get(m) or entry(m))[0]][m] = c * scale
         for mono, step, c, d in twist:
             # Top layer first, so that no entry spawned by this term spawns
             # again.
@@ -888,12 +878,10 @@ def _exp_sum(
                         value = value * c // (d * k)
                         layers[grown][m] = layers[grown].get(m, 0) + value
         lift = total // own
-        for degree in degrees:
-            for m, value in layers[degree].items():
-                form = (memo.get(m) or entry(m, degree))[1]
-                target = num if form is None else pending
-                target[m] = target.get(m, 0) + value * lift
-    return ring._expand(num, total * fact, pending)
+        for layer in layers:
+            for m, value in layer.items():
+                num[m] = num.get(m, 0) + value * lift
+    return ring._expand(num, total * fact)
 
 
 def _graded_numerators(x: RingElement, top: int) -> list[Numerators]:
@@ -904,6 +892,14 @@ def _graded_numerators(x: RingElement, top: int) -> list[Numerators]:
         if memo[m][0] <= top:
             parts[memo[m][0]][m] = c
     return parts
+
+
+def _conjugate_character(ch: RingElement) -> RingElement:
+    """The character of the dual class: negating every Chern root flips
+    the sign of the odd graded parts."""
+    memo = ch.ring._memo
+    num = {m: -c if memo[m][0] % 2 else c for m, c in ch._num.items()}
+    return RingElement._make(ch.ring, num, ch._den)
 
 
 def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement, ...]:

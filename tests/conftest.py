@@ -11,4 +11,10 @@ hypothesis.settings.register_profile(
     phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
     database=None,
 )
+# A deeper run of the same properties, 5x the examples of ``ci``; CI runs
+# the kernel reference tests under it once.  Select it with
+# ``pytest --hypothesis-profile=thorough``.
+hypothesis.settings.register_profile(
+    "thorough", parent=hypothesis.settings.get_profile("ci"), max_examples=300
+)
 hypothesis.settings.load_profile("ci")

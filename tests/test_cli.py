@@ -306,6 +306,19 @@ def test_timings_flag(tmp_path):
     assert "timing_ms" in report["results"][0]
     _, out, _ = run_capture([str(scene), "--json"])
     assert "timing_ms" not in json.dumps(json.loads(out))
+    # Text output prints the timing of every result, a file's or a
+    # generated scene's, and none by default.
+    for argv in ([str(scene)], ["--random", "2", "--seed", "7"]):
+        _, out, _ = run_capture(argv + ["--timings"])
+        results = [
+            line
+            for line in out.splitlines()
+            if line.lstrip().startswith(("compute", "verify"))
+        ]
+        assert results
+        assert all(" timing_ms=" in line for line in results)
+        _, out, _ = run_capture(argv)
+        assert "timing_ms" not in out
 
 
 def test_random_mode_deterministic():
