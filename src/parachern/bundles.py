@@ -14,15 +14,14 @@ order), ``character`` and ``classes``, all on the base; and, for the
 verifiers only, ``cover``, the cover of minimal order with the character
 of the bundle induced on it.  ``dual``, ``tensor`` and ``direct_sum``
 build their summands in canonical form from checked bundles, so they skip
-the checks of ``ParabolicBundle(...)``.
+the checks of ``ParabolicBundle(...)`` and build through ``_of``.
 
-Pullback to the cover is a graded ring isomorphism that commutes with the
-Newton bridge, so one identity on characters, ``pulls_back_to_cover``,
-decides whether the base classes pull back to the cover classes; both
-verifiers report it.  The cover character transports the numerators of
-each distinct summand class once and twists them by the integers
-order * w on the cover divisors, read from the weights, never by a
-pullback of the base twist, so the identity compares two computations.
+One identity on characters, ``pulls_back_to_cover``, decides both
+verifiers; why it decides the tautological relation is derived at
+``grothendieck._residual``.  The cover character transports the
+numerators of each distinct summand class once and twists them by the
+integers order * w on the cover divisors, read from the weights, never by
+a pullback of the base twist, so the identity compares two computations.
 The cover classes themselves, ``cover_classes``, are derived only when a
 verifier needs them: for the residual of a failed identity, or to test
 explicitly given classes.
@@ -66,27 +65,16 @@ class OrdinaryBundleClass(Record):
     # ``character`` lives in the instance dict, not in a slot: the
     # benchmark tracer (perfbench/tracer.py) wraps whatever the class holds
     # under that name as a method, so a slot descriptor there would be
-    # replaced and ``bundle.character`` would read a function.
+    # replaced and ``bundle.character`` would read a function.  So the
+    # fields are named here rather than read from the slots.
     __slots__ = ("rank", "__dict__")
+    _fields = ("rank", "character")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def _fields(self) -> list[str]:
-        return ["rank", "character"]
-
     def __init__(self, rank: int, total_chern: RingElement):
         character = character_from_chern(total_chern, rank)
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "character", character)
-
-    @classmethod
-    def _from_character(cls, rank: int, character: RingElement) -> OrdinaryBundleClass:
-        """A class from a character derived from valid classes; nothing is
-        re-checked."""
-        bundle = object.__new__(cls)
-        object.__setattr__(bundle, "rank", rank)
-        object.__setattr__(bundle, "character", character)
-        return bundle
+        self._fill(int(rank), character)
 
     @property
     def ring(self) -> GradedRing:
@@ -95,7 +83,7 @@ class OrdinaryBundleClass(Record):
 
 def trivial_line(ring: GradedRing) -> OrdinaryBundleClass:
     """The trivial line bundle ``O``: total Chern class 1, character 1."""
-    return OrdinaryBundleClass._from_character(1, ring.one())
+    return OrdinaryBundleClass._of(1, ring.one())
 
 
 Summand = tuple[OrdinaryBundleClass, tuple[tuple[str, Fraction], ...]]
@@ -141,18 +129,7 @@ class ParabolicBundle(Record):
                 cleaned[name] = w
             ordered = sorted(cleaned.items(), key=lambda kv: divisor_order[kv[0]])
             canonical.append((bundle, tuple(kv for kv in ordered if kv[1])))
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "summands", tuple(canonical))
-
-    @classmethod
-    def _from_summands(cls, variety: Variety, summands: tuple[Summand, ...]):
-        """A bundle from summands already in canonical form, derived from
-        checked bundles: classes on ``variety``'s ring and nonzero weights
-        in (0, 1) in divisor order; nothing is re-checked."""
-        bundle = object.__new__(cls)
-        object.__setattr__(bundle, "variety", variety)
-        object.__setattr__(bundle, "summands", summands)
-        return bundle
+        self._fill(variety, tuple(canonical))
 
     @property
     def rank(self) -> int:
@@ -209,7 +186,7 @@ class ParabolicBundle(Record):
 def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     if E.variety is not F.variety:
         raise ValueError("direct sum requires bundles on the same variety")
-    return ParabolicBundle._from_summands(E.variety, E.summands + F.summands)
+    return ParabolicBundle._of(E.variety, E.summands + F.summands)
 
 
 def _form(x: RingElement) -> NormalForm:
@@ -233,9 +210,9 @@ def dual(E: ParabolicBundle) -> ParabolicBundle:
     for bundle, weights in E.summands:
         twist = [(name, -1) for name, _ in weights]
         ch = _twisted(_conjugate_character(bundle.character), twist)
-        dual_bundle = OrdinaryBundleClass._from_character(bundle.rank, ch)
+        dual_bundle = OrdinaryBundleClass._of(bundle.rank, ch)
         out.append((dual_bundle, tuple((name, 1 - w) for name, w in weights)))
-    return ParabolicBundle._from_summands(E.variety, tuple(out))
+    return ParabolicBundle._of(E.variety, tuple(out))
 
 
 def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
@@ -259,9 +236,9 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
                 if s:
                     weights.append((name, s))
             ch = _twisted(bv.character * bw.character, wrapped)
-            bundle = OrdinaryBundleClass._from_character(bv.rank * bw.rank, ch)
+            bundle = OrdinaryBundleClass._of(bv.rank * bw.rank, ch)
             out.append((bundle, tuple(weights)))
-    return ParabolicBundle._from_summands(E.variety, tuple(out))
+    return ParabolicBundle._of(E.variety, tuple(out))
 
 
 def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
@@ -291,7 +268,7 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
         pairs.append((seeds[bundle], twist))
     ring = cm.cover_ring
     character = RingElement._make(ring, *_twisted_sum(ring, pairs))
-    return OrdinaryBundleClass._from_character(E.rank, character)
+    return OrdinaryBundleClass._of(E.rank, character)
 
 
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:

@@ -95,9 +95,7 @@ class Variety(Record):
             if mono in table:
                 raise InputError(f"duplicate integral for monomial {named}", *at)
             table[mono] = Fraction(value)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "integral_table", table)
+        self._fill(ring, divisors, table)
 
     @property
     def dim(self) -> int:
@@ -126,11 +124,6 @@ class CoverModel(Record):
     __slots__ = ("base", "order", "cover_ring")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, base: Variety, order: int, cover_ring: GradedRing):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cover_ring", cover_ring)
 
     def divisor(self, base_name: str) -> RingElement:
         """The cover-ring divisor generator lying over a base divisor."""

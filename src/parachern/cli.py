@@ -371,14 +371,17 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
     if args.max_denominator < 1:
         print("error: --max-denominator needs a positive value", file=stderr)
         return EXIT_SEMANTIC_ERROR
+    inputs = list(args.inputs)
+    if inputs and inputs[0] == "compute":
+        inputs = inputs[1:]
     if args.random is not None:
         if args.random < 1:
             print("error: --random needs a positive count", file=stderr)
             return EXIT_SEMANTIC_ERROR
+        if inputs:
+            print("error: --random takes no scene file", file=stderr)
+            return EXIT_SEMANTIC_ERROR
         return _run_random(args, stdout, stderr)
-    inputs = list(args.inputs)
-    if inputs and inputs[0] == "compute":
-        inputs = inputs[1:]
     if len(inputs) != 1:
         print("error: expected exactly one scene file", file=stderr)
         return EXIT_SEMANTIC_ERROR

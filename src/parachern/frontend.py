@@ -33,18 +33,9 @@ MAX_MONOMIALS = 10**5
 
 Pos = tuple[int, int]
 
-# Records assign their fields through this; assignment on one raises.
-_set = object.__setattr__
-
 
 class Diagnostic(Record):
     __slots__ = ("severity", "message", "line", "column")
-
-    def __init__(self, severity: str, message: str, line: int, column: int):
-        _set(self, "severity", severity)
-        _set(self, "message", message)
-        _set(self, "line", line)
-        _set(self, "column", column)
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
@@ -69,17 +60,14 @@ class ElaborationError(SceneError):
 # ---------------------------------------------------------------------------
 # AST
 #
-# Immutable records; equality and hashing ignore ``pos``, so a node compares
-# equal to the node parsed back from its printed text.
+# Immutable records, each built from its fields, by position or by keyword,
+# through the one constructor that ``Record`` derives from its ``__slots__``.
+# Equality and hashing ignore ``pos``, so a node compares equal to the node
+# parsed back from its printed text.
 
 
 class MonoFactor(Record):
     __slots__ = ("name", "exponent", "pos")
-
-    def __init__(self, name: str, exponent: int, pos: Pos):
-        _set(self, "name", name)
-        _set(self, "exponent", exponent)
-        _set(self, "pos", pos)
 
 
 MonoAST = tuple[MonoFactor, ...]
@@ -88,11 +76,6 @@ MonoAST = tuple[MonoFactor, ...]
 class PolyTerm(Record):
     __slots__ = ("coeff", "factors", "pos")
 
-    def __init__(self, coeff: Fraction, factors: MonoAST, pos: Pos):
-        _set(self, "coeff", coeff)
-        _set(self, "factors", factors)
-        _set(self, "pos", pos)
-
 
 PolyAST = tuple[PolyTerm, ...]
 
@@ -100,111 +83,47 @@ PolyAST = tuple[PolyTerm, ...]
 class WeightEntry(Record):
     __slots__ = ("divisor", "value", "pos")
 
-    def __init__(self, divisor: str, value: Fraction, pos: Pos):
-        _set(self, "divisor", divisor)
-        _set(self, "value", value)
-        _set(self, "pos", pos)
-
 
 class SummandAST(Record):
     __slots__ = ("bundle", "weights", "pos")
-
-    def __init__(self, bundle: str, weights: tuple[WeightEntry, ...], pos: Pos):
-        _set(self, "bundle", bundle)
-        _set(self, "weights", weights)
-        _set(self, "pos", pos)
 
 
 class VarietyDecl(Record):
     __slots__ = ("name", "dim", "pos")
 
-    def __init__(self, name: str, dim: int, pos: Pos):
-        _set(self, "name", name)
-        _set(self, "dim", dim)
-        _set(self, "pos", pos)
-
 
 class DivisorDecl(Record):
     __slots__ = ("names", "pos")
-
-    def __init__(self, names: tuple[str, ...], pos: Pos):
-        _set(self, "names", names)
-        _set(self, "pos", pos)
 
 
 class ClassDecl(Record):
     __slots__ = ("name", "degree", "pos")
 
-    def __init__(self, name: str, degree: int, pos: Pos):
-        _set(self, "name", name)
-        _set(self, "degree", degree)
-        _set(self, "pos", pos)
-
 
 class RelationDecl(Record):
     __slots__ = ("lhs", "rhs", "pos")
-
-    def __init__(self, lhs: MonoAST, rhs: PolyAST, pos: Pos):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "pos", pos)
 
 
 class IntegralDecl(Record):
     __slots__ = ("mono", "value", "pos")
 
-    def __init__(self, mono: MonoAST, value: Fraction, pos: Pos):
-        _set(self, "mono", mono)
-        _set(self, "value", value)
-        _set(self, "pos", pos)
-
 
 class BundleDecl(Record):
     __slots__ = ("name", "rank", "chern", "pos")
-
-    def __init__(self, name: str, rank: int, chern: PolyAST, pos: Pos):
-        _set(self, "name", name)
-        _set(self, "rank", rank)
-        _set(self, "chern", chern)
-        _set(self, "pos", pos)
 
 
 class ParabolicDecl(Record):
     __slots__ = ("name", "summands", "pos")
 
-    def __init__(self, name: str, summands: tuple[SummandAST, ...], pos: Pos):
-        _set(self, "name", name)
-        _set(self, "summands", summands)
-        _set(self, "pos", pos)
-
 
 class CommandDecl(Record):
     __slots__ = ("action", "kind", "names", "pos")
 
-    def __init__(self, action: str, kind: str, names: tuple[str, ...], pos: Pos):
-        _set(self, "action", action)
-        _set(self, "kind", kind)
-        _set(self, "names", names)
-        _set(self, "pos", pos)
-
-
-Statement = (
-    VarietyDecl
-    | DivisorDecl
-    | ClassDecl
-    | RelationDecl
-    | IntegralDecl
-    | BundleDecl
-    | ParabolicDecl
-    | CommandDecl
-)
-
 
 class SceneAST(Record):
-    __slots__ = ("statements",)
+    """The statements, declarations and commands, in source order."""
 
-    def __init__(self, statements: tuple[Statement, ...]):
-        _set(self, "statements", statements)
+    __slots__ = ("statements",)
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +453,14 @@ def format_program(ast: SceneAST) -> str:
 # Elaborator
 
 
-class Scene:
+class Scene(Record):
     """An elaborated scene: its variety, its parabolic bundles by name, its
-    commands, and where each parabolic bundle is declared."""
+    commands, and where each parabolic bundle is declared.  Immutable;
+    compares and hashes by identity."""
 
     __slots__ = ("variety", "parabolics", "commands", "positions")
-
-    def __init__(
-        self,
-        variety: Variety,
-        parabolics: dict[str, ParabolicBundle],
-        commands: list[CommandDecl],
-        positions: dict[str, Pos],
-    ):
-        self.variety = variety
-        self.parabolics = parabolics
-        self.commands = commands
-        self.positions = positions
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _fail(message: str, pos: Pos):

@@ -3,32 +3,13 @@ the pair identities.
 
 The Chern classes are computed on the base, from the Chern character.  The
 cover side is the character of the bundle induced on the cover, built once
-per bundle.  Pullback to the cover is a graded ring isomorphism that
-commutes with the Newton bridge :func:`~parachern.rings.chern_from_character`,
-so the base classes pull up to the cover classes u_0..u_r whenever the
-base character pulls up to the cover character.  That character identity
-is decided once per bundle (:attr:`ParabolicBundle.pulls_back_to_cover`),
-and ``verify corollary1`` reports it.  It is the stricter check: it also
-fails when the cover character is not that of any rank-r class.
-
-The Chow ring of the cover bundle's projective bundle is free over the
-cover ring on 1, h, ..., h^(r-1), where h is the first Chern class of the
-tautological quotient line bundle.  Its defining relation is the reduction
-rule h^r = u_1 h^(r-1) - u_2 h^(r-2) + ... + (-1)^(r-1) u_r.  For classes
-x_0..x_r on the base and cover order n, the element
-
-    sum_i (-1)^i (n h)^(r-i) pullback(x_i)
-
-therefore reduces, at h^(r-i) for i = 1..r, to the coefficient
-
-    (-1)^i n^(r-i) pullback(x_i) + (-1)^(i-1) n^r pullback(x_0) u_i,
-
-and only i <= min(r, dim) has u_i != 0.  For the normalized classes
-x_i = c_i / n^(r-i) this is (-1)^i (pullback(c_i) - u_i): the relation
-holds exactly when the base classes pull up to the cover classes, so
-``verify grothendieck`` reports the same cover identity.  Only when it
-fails, or when explicit classes are given, are the u_i derived and these
-coefficients evaluated, in time linear in the rank.
+per bundle.  ``verify grothendieck`` checks the defining relation of the
+tautological line bundle on the projective bundle of the cover bundle.
+That relation holds exactly when the base character pulls up to the cover
+character (the derivation is at :func:`_residual`), so it reports the same
+identity as ``verify corollary1``: :attr:`ParabolicBundle.pulls_back_to_cover`,
+decided once per bundle.  The character identity is the stricter check: it
+also fails when the cover character is not that of any rank-r class.
 """
 
 from __future__ import annotations
@@ -45,18 +26,9 @@ class RelationCheck(Record):
 
     __slots__ = ("passed", "residual")
 
-    def __init__(self, passed: bool, residual: tuple[RingElement, ...]):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residual", residual)
-
 
 class PairIdentityChecks(Record):
     __slots__ = ("whitney", "dual", "tensor")
-
-    def __init__(self, whitney: bool, dual: bool, tensor: bool):
-        object.__setattr__(self, "whitney", whitney)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "tensor", tensor)
 
     @property
     def passed(self) -> bool:
@@ -86,7 +58,30 @@ def _residual(
     E: ParabolicBundle, classes: Sequence[RingElement]
 ) -> tuple[RingElement, ...]:
     """The reduced relation's coefficients in closed form, in the basis
-    1, h, ..., h^(rank-1)."""
+    1, h, ..., h^(rank-1).
+
+    The Chow ring of the cover bundle's projective bundle is free over the
+    cover ring on 1, h, ..., h^(r-1), where h is the first Chern class of
+    the tautological quotient line bundle.  Its defining relation is the
+    reduction rule h^r = u_1 h^(r-1) - u_2 h^(r-2) + ... + (-1)^(r-1) u_r,
+    with u_i the cover classes.  For classes x_0..x_r on the base and
+    cover order n, the element
+
+        sum_i (-1)^i (n h)^(r-i) pullback(x_i)
+
+    therefore reduces, at h^(r-i) for i = 1..r, to the coefficient
+
+        (-1)^i n^(r-i) pullback(x_i) + (-1)^(i-1) n^r pullback(x_0) u_i,
+
+    and only i <= min(r, dim) has u_i != 0.  For the normalized classes
+    x_i = c_i / n^(r-i) this is (-1)^i (pullback(c_i) - u_i): the relation
+    holds exactly when the base classes pull up to the cover classes.
+    Pullback is a graded ring isomorphism that commutes with the Newton
+    bridge :func:`~parachern.rings.chern_from_character`, so that holds
+    whenever the base character pulls up to the cover character.  Only a
+    failed identity or explicit classes get here, and the coefficients
+    cost time linear in the rank.
+    """
     n, r = E.order, E.rank
     if len(classes) != r + 1:
         raise ValueError(f"expected {r + 1} classes, got {len(classes)}")

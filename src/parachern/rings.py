@@ -54,10 +54,11 @@ take each step on (numerators, denominator) forms through the loop behind
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import itemgetter
-from types import MappingProxyType
+from types import CodeType, FunctionType, MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -90,25 +91,71 @@ class InputError(ValueError):
         self.path = path
 
 
+@cache
+def _fill_code(arity: int) -> CodeType:
+    """The code of a field fill of ``arity`` fields: ``_fill(self, a0, ...)``
+    calls ``s0(self, a0)`` and so on.  Each record class renames the
+    parameters to its fields and binds s0, s1, ... to their setters, so one
+    compile serves every class of one arity."""
+    params = "".join(f", a{i}" for i in range(arity))
+    body = "".join(f"\n    s{i}(self, a{i})" for i in range(arity))
+    scope: dict = {}
+    exec(f"def _fill(self{params}):\n    pass{body}", scope)
+    return scope["_fill"].__code__
+
+
 class Record:
     """Base of the package's immutable records.
 
-    ``__slots__`` names a record's fields (a name starting with ``__``,
-    such as ``__weakref__``, is not a field), and its own ``__init__``
-    assigns each one through ``object.__setattr__``: assignment and
-    deletion on an instance raise ``AttributeError``.  Two records of one
-    class are equal, and hash equal, when their fields are, all but
-    ``pos``, the source position of a scene AST node.  A model class that
-    compares by identity restores ``object``'s ``__eq__`` and ``__hash__``.
+    A record's fields are the names in its class's own ``__slots__`` (a
+    name starting with ``__``, such as ``__weakref__``, is not a field),
+    unless the class names them in ``_fields``.  At class creation each
+    record class gets one generated field fill, ``_fill(self, *fields)``,
+    which takes the fields by position or by keyword, writes each past the
+    ``__setattr__`` below, and raises ``TypeError`` on a wrong count, an
+    unknown keyword or a field given twice.  It is the constructor of
+    every class that writes none; a checked constructor ends in it, and
+    :meth:`_of` is the one unchecked path to it.  Only ``RingElement``
+    sets its slots by hand, in ``_make``, the kernel's hot path, and in the
+    constructor that reads its terms.  Assignment and deletion on an
+    instance raise ``AttributeError``.  Two records of one class are
+    equal, and hash equal, when their fields are, all but ``pos``, the
+    source position of a scene AST node.  A model class that compares by
+    identity restores ``object``'s ``__eq__`` and ``__hash__``.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def _fields(self) -> list[str]:
-        return [name for name in self.__slots__ if not name.startswith("__")]
+    def __init_subclass__(cls):
+        slots = cls.__dict__.get("__slots__", ())
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in slots if not name.startswith("__"))
+        # A slot field is set through its descriptor; a field kept in the
+        # instance dict, through ``object.__setattr__``.
+        setters = {}
+        for i, name in enumerate(cls._fields):
+            if name in slots:
+                setters[f"s{i}"] = cls.__dict__[name].__set__
+            else:
+                setters[f"s{i}"] = lambda record, value, name=name: object.__setattr__(
+                    record, name, value
+                )
+        code = _fill_code(len(cls._fields)).replace(co_varnames=("self", *cls._fields))
+        cls._fill = FunctionType(code, setters, "_fill")
+        cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._fill
+
+    @classmethod
+    def _of(cls, *fields):
+        """A record from fields that need no check."""
+        record = _new(cls)
+        record._fill(*fields)
+        return record
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields() if name != "pos")
+        return tuple(getattr(self, name) for name in self._fields if name != "pos")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -119,7 +166,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):

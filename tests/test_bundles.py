@@ -34,6 +34,7 @@ from parachern.grothendieck import (
 )
 from parachern.scenegen import random_elaborated_scene
 from proj_bundle_oracle import pushdown
+from test_frontend import _every_record, check_constructor, record_classes
 from test_rings import RING_FACTORIES
 
 
@@ -147,19 +148,26 @@ def _model_records(variety):
         make_cover(variety, 3),
         E.summands[0][0],
         E,
+        E.character,
         verify_relation(E),
         verify_pair_identities(E, E),
+        random_elaborated_scene(random.Random(0)),
     ]
 
 
 def test_model_records_are_immutable(surface):
-    # Assigning a field, or anything else, raises AttributeError; so does
-    # deleting a field.
-    for record in _model_records(surface):
-        for name in (*record._fields(), "extra"):
+    # With the frontend's records these cover every record class.
+    records = _model_records(surface)
+    covered = {type(r) for r in [*records, *_every_record()]}
+    assert covered == record_classes()
+    for record in records:
+        check_constructor(record)
+        # Assigning a field, or anything else, raises AttributeError; so
+        # does deleting a field.
+        for name in (*record._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
-        for name in record._fields():
+        for name in record._fields:
             with pytest.raises(AttributeError):
                 delattr(record, name)
 

@@ -283,7 +283,7 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     def corrupted(E, cm):
         good = true_cover_bundle(E, cm)
         ch = good.character + cm.divisor("D1")
-        return OrdinaryBundleClass._from_character(good.rank, ch)
+        return OrdinaryBundleClass._of(good.rank, ch)
 
     monkeypatch.setattr(bundles, "cover_bundle", corrupted)
     scene = tmp_path / "worked.pch"
@@ -377,6 +377,17 @@ def test_random_mode_respects_seed():
     _, a, _ = run_capture(["--random", "2", "--seed", "1", "--json"])
     _, b, _ = run_capture(["--random", "2", "--seed", "2", "--json"])
     assert a != b
+
+
+def test_random_mode_rejects_a_scene_file(tmp_path):
+    # A scene file next to --random is an error, as it is without it; it
+    # is never silently dropped.
+    scene = tmp_path / "worked.pch"
+    scene.write_text(WORKED)
+    for inputs in ([str(scene)], ["compute", str(scene)], ["."]):
+        code, out, err = run_capture(["--random", "1", "--seed", "3", *inputs])
+        assert (code, out) == (3, "")
+        assert err == "error: --random takes no scene file\n"
 
 
 def test_evaluate_text_report_shape():

@@ -339,13 +339,69 @@ def _rebuilt(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
+def record_classes():
+    """Every subclass of Record in the package, at any depth."""
+    found, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("parachern."):
+                found.add(cls)
+    return found
+
+
+def check_constructor(record):
+    """Records of ``record``'s class built from its fields by position and
+    by keyword hold those fields; a wrong count, an unknown keyword or a
+    field given twice raises TypeError.  A class whose constructor checks
+    other arguments is built through its field fill, ``_fill``; every
+    class is also built through ``_of``."""
+    cls = type(record)
+    names = cls._fields
+    values = tuple(getattr(record, name) for name in names)
+
+    def build(*args, **kwargs):
+        if cls.__init__ is cls._fill:
+            return cls(*args, **kwargs)
+        built = object.__new__(cls)
+        built._fill(*args, **kwargs)
+        return built
+
+    def fields(built):
+        return tuple(getattr(built, name) for name in names)
+
+    by_position, by_name = build(*values), build(**dict(zip(names, values)))
+    assert fields(by_position) == fields(by_name) == fields(cls._of(*values)) == values
+    if cls.__eq__ is Record.__eq__:
+        assert by_position == by_name == record
+    wrong = [
+        (values[:-1], {}),
+        ((*values, None), {}),
+        (values, {"extra": None}),
+        (values, {names[0]: values[0]}),
+    ]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError):
+            build(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls._of(*args, **kwargs)
+
+
 def test_every_frontend_record_is_covered():
-    names = {type(r).__name__ for r in _every_record()}
-    assert names == {
+    # Scene compares by identity; tests/test_bundles.py covers it with the
+    # model records.
+    records = _every_record()
+    frontend_classes = {
+        cls for cls in record_classes() if cls.__module__ == frontend.__name__
+    }
+    assert {type(r) for r in records} == frontend_classes - {frontend.Scene}
+    assert {type(r).__name__ for r in records} == {
         "SceneAST", "VarietyDecl", "DivisorDecl", "ClassDecl", "RelationDecl",
         "MonoFactor", "PolyTerm", "IntegralDecl", "BundleDecl", "ParabolicDecl",
         "SummandAST", "WeightEntry", "CommandDecl", "Diagnostic",
     }
+    for record in records:
+        check_constructor(record)
 
 
 def test_records_equal_up_to_position():

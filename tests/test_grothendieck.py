@@ -210,7 +210,7 @@ def _with_cover_shift(E, shift):
     def shifted(F, cm):
         good = true_cover_bundle(F, cm)
         ch = good.character + shift(cm)
-        return OrdinaryBundleClass._from_character(good.rank, ch)
+        return OrdinaryBundleClass._of(good.rank, ch)
 
     F = ParabolicBundle(E.variety, E.summands)
     with mock.patch.object(bundles, "cover_bundle", shifted):
@@ -370,7 +370,7 @@ def test_cover_pullback_is_independent_of_cover_bundle(surface, monkeypatch):
     def corrupted(E, cm):
         good = true_cover_bundle(E, cm)
         ch = good.character + cm.divisor("D1")
-        return OrdinaryBundleClass._from_character(good.rank, ch)
+        return OrdinaryBundleClass._of(good.rank, ch)
 
     for module in (bundles, grothendieck):
         monkeypatch.setattr(module, "cover_bundle", corrupted, raising=False)
