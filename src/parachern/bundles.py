@@ -6,25 +6,31 @@ component, named as in the variety's ``divisors``.  An ordinary bundle
 class is entered as a total Chern class and stored as its Chern character;
 the trivial line bundle ``O`` is stored with its character 1 directly,
 through no Newton bridge.  Each summand's twist, exp of its weighted
-divisors, is multiplied into its character by ``rings._twisted_sum``
-straight from the (divisor, weight) pairs: no twist or exp element is
-built, and a bundle's character is one such sum.  Each bundle derives
-its data lazily and at most once, as properties: ``order`` (the cover
-order), ``character`` and ``classes``, all on the base; and, for the
-verifiers only, ``cover``, the cover of minimal order with the character
-of the bundle induced on it.  ``dual``, ``tensor`` and ``direct_sum``
-build their summands in canonical form from checked bundles, so they skip
-the checks of ``ParabolicBundle(...)`` and build through ``_of``.
+divisors, is multiplied into its character by the kernel's
+``twisted_sum`` straight from the (divisor, weight) pairs: no twist or
+exp element is built, and a bundle's character is one such sum.  Each
+bundle derives its data lazily and at most once, as properties:
+``order`` (the cover order), ``character`` and ``classes``, all on the
+base; and, for the verifiers only, ``cover``, the cover of minimal order
+with the character of the bundle induced on it.  ``dual``, ``tensor`` and
+``direct_sum`` build their summands in canonical form from checked
+bundles, so they skip the checks of ``ParabolicBundle(...)`` and build
+through ``_of``.
 
 One identity on characters, ``pulls_back_to_cover``, decides both
 verifiers; why it decides the tautological relation is derived at
 ``grothendieck._residual``.  The cover character transports the
-numerators of each distinct summand class once and twists them by the
+character of each distinct summand class once and twists it by the
 integers order * w on the cover divisors, read from the weights, never by
 a pullback of the base twist, so the identity compares two computations.
 The cover classes themselves, ``cover_classes``, are derived only when a
 verifier needs them: for the residual of a failed identity, or to test
 explicitly given classes.
+
+This module reads no kernel data format: it calls the public faces of
+``chow.py`` and the kernel's element-level entries ``twisted_sum``,
+``conjugate_character``, ``transport`` and the Newton bridges, each of
+which takes and returns elements.
 """
 
 from __future__ import annotations
@@ -35,18 +41,18 @@ from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .chow import COVER_PREFIX, CoverModel, Variety, _transported, make_cover
+from .chow import COVER_PREFIX, CoverModel, Variety, make_cover
 from .rings import (
     GradedRing,
     InputError,
-    NormalForm,
     Rational,
     Record,
     RingElement,
-    _conjugate_character,
-    _twisted_sum,
     character_from_chern,
     chern_from_character,
+    conjugate_character,
+    transport,
+    twisted_sum,
 )
 
 WeightSpec = Union[Mapping[str, Rational], Iterable[tuple[str, Rational]]]
@@ -153,9 +159,8 @@ class ParabolicBundle(Record):
     def character(self) -> RingElement:
         """The full Chern character on the base: each summand's character
         twisted by exp of its weighted divisors."""
-        ring = self.ring
-        pairs = [(_form(bundle.character), twist) for bundle, twist in self.summands]
-        return RingElement._make(ring, *_twisted_sum(ring, pairs))
+        pairs = [(bundle.character, twist) for bundle, twist in self.summands]
+        return twisted_sum(self.ring, pairs)
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
@@ -189,27 +194,15 @@ def direct_sum(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     return ParabolicBundle._of(E.variety, E.summands + F.summands)
 
 
-def _form(x: RingElement) -> NormalForm:
-    return x._num, x._den
-
-
-def _twisted(ch: RingElement, twist: list[tuple[str, Rational]]) -> RingElement:
-    """ch * exp(sum w * D) over the (divisor, weight) pairs of ``twist``;
-    ch itself when there are none."""
-    if not twist:
-        return ch
-    ring = ch.ring
-    return RingElement._make(ring, *_twisted_sum(ring, [(_form(ch), twist)]))
-
-
 def dual(E: ParabolicBundle) -> ParabolicBundle:
     """Summand-wise dual: weight 0 stays 0; weight w > 0 becomes 1 - w,
     which lies in (0, 1), and the underlying dual bundle picks up a twist
     by minus that divisor."""
+    ring = E.ring
     out = []
     for bundle, weights in E.summands:
         twist = [(name, -1) for name, _ in weights]
-        ch = _twisted(_conjugate_character(bundle.character), twist)
+        ch = twisted_sum(ring, [(conjugate_character(bundle.character), twist)])
         dual_bundle = OrdinaryBundleClass._of(bundle.rank, ch)
         out.append((dual_bundle, tuple((name, 1 - w) for name, w in weights)))
     return ParabolicBundle._of(E.variety, tuple(out))
@@ -221,6 +214,7 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
     divisor.  Zero weights are dropped and the rest kept in divisor order."""
     if E.variety is not F.variety:
         raise ValueError("tensor requires bundles on the same variety")
+    ring = E.ring
     out = []
     for bv, wv in E.summands:
         map_v = dict(wv)
@@ -235,7 +229,7 @@ def tensor(E: ParabolicBundle, F: ParabolicBundle) -> ParabolicBundle:
                     wrapped.append((name, 1))
                 if s:
                     weights.append((name, s))
-            ch = _twisted(bv.character * bw.character, wrapped)
+            ch = twisted_sum(ring, [(bv.character * bw.character, wrapped)])
             bundle = OrdinaryBundleClass._of(bv.rank * bw.rank, ch)
             out.append((bundle, tuple(weights)))
     return ParabolicBundle._of(E.variety, tuple(out))
@@ -254,21 +248,19 @@ def cover_bundle(E: ParabolicBundle, cm: CoverModel) -> OrdinaryBundleClass:
         raise ValueError(
             f"cover order {cm.order} is not a multiple of the bundle's order {n}"
         )
-    seeds: dict[OrdinaryBundleClass, NormalForm] = {}
+    ring = cm.cover_ring
+    seeds: dict[OrdinaryBundleClass, RingElement] = {}
     pairs = []
     for bundle, weights in E.summands:
         if bundle not in seeds:
-            ch = bundle.character
-            seeds[bundle] = (_transported(E.variety, cm.order, ch._num), ch._den)
+            seeds[bundle] = transport(bundle.character, ring)
         # Each weight's denominator divides n, so order * w is an integer.
         twist = [
             (COVER_PREFIX + name, cm.order // w.denominator * w.numerator)
             for name, w in weights
         ]
         pairs.append((seeds[bundle], twist))
-    ring = cm.cover_ring
-    character = RingElement._make(ring, *_twisted_sum(ring, pairs))
-    return OrdinaryBundleClass._of(E.rank, character)
+    return OrdinaryBundleClass._of(E.rank, twisted_sum(ring, pairs))
 
 
 def relation_classes(E: ParabolicBundle) -> list[RingElement]:

@@ -8,6 +8,11 @@ same ring with every divisor generator renamed and rescaled: transporting
 a class upstairs multiplies each term by N^e, where e is its total divisor
 exponent, and the cover's relation rows are the base rows transported the
 same way.  This pullback is a graded ring isomorphism.
+
+The kernel, ``rings.py``, owns the packed monomials and numerator forms,
+and builds the cover ring and its transport (``RescaledRing``,
+``transport``).  This module calls only the kernel's public names; it
+keeps the variety, its integrals and the cover as public faces.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from .rings import (
     InputError,
     Monomial,
     Record,
+    RescaledRing,
     RingElement,
     RingMismatchError,
     RuleSpec,
-    _positive_integer,
     format_monomial,
+    positive_integer,
+    transport,
 )
 
 COVER_PREFIX = "~"
@@ -67,7 +74,7 @@ class Variety(Record):
         relations: Iterable[RuleSpec] = (),
         integrals: Mapping | Iterable = (),
     ):
-        if _positive_integer(dim) is None:
+        if positive_integer(dim) is None:
             raise ValueError("variety dimension must be at least 1")
         divisors = tuple(divisors)
         generators = [(name, 1) for name in divisors]
@@ -79,7 +86,7 @@ class Variety(Record):
             at = ("integrals", index)
             factors = list(spec.items() if isinstance(spec, Mapping) else spec)
             try:
-                packed, degree = ring._key(factors)
+                mono, degree = ring.read_monomial(factors)
             except (KeyError, ValueError) as exc:
                 raise InputError(exc.args[0], *at) from None
             if degree != ring.cutoff:
@@ -87,11 +94,10 @@ class Variety(Record):
                 raise InputError(message, *at)
             # The monomial as written, e.g. D1*D1 for a repeated D1^2.
             named = format_monomial(factors)
-            reduced = ring.element([(1, factors)])
-            if list(reduced._num) != [packed]:
+            if not ring.is_normal(mono):
+                reduced = ring.element([(1, factors)])
                 message = f"integral monomial {named} is not normal; it reduces to"
                 raise InputError(f"{message} {reduced}", *at)
-            mono = ring._unpack(packed)
             if mono in table:
                 raise InputError(f"duplicate integral for monomial {named}", *at)
             table[mono] = Fraction(value)
@@ -110,16 +116,16 @@ def integrate(variety: Variety, a: RingElement) -> Fraction:
     total = Fraction(0)
     for mono, coeff in a.graded_part(variety.dim).sorted_terms():
         if mono not in variety.integral_table:
-            factors = variety.ring._factors(mono)
-            raise MissingIntegralError(format_monomial(factors))
+            raise MissingIntegralError(format_monomial(variety.ring.factors(mono)))
         total += coeff * variety.integral_table[mono]
     return total
 
 
 class CoverModel(Record):
     """A formal cover of order N: divisor generators renamed with a tilde
-    prefix, every base relation transported under D -> N * ~D.  Immutable;
-    compares and hashes by identity."""
+    prefix, every base relation transported under D -> N * ~D, in the
+    :class:`RescaledRing` ``cover_ring``.  Immutable; compares and hashes by
+    identity."""
 
     __slots__ = ("base", "order", "cover_ring")
     __eq__ = object.__eq__
@@ -134,34 +140,11 @@ class CoverModel(Record):
     def pullback(self, a: RingElement) -> RingElement:
         """Transport a base class to the cover: each term is scaled by
         order^e with e its total divisor exponent."""
-        if a.ring is not self.base.ring:
-            raise RingMismatchError("element does not belong to the base ring")
-        num = _transported(self.base, self.order, a._num)
-        ring = self.cover_ring
-        return RingElement._make(ring, *ring._expand(num, a._den))
-
-
-def _transported(variety: Variety, order: int, num: dict) -> dict:
-    """Numerators keyed by packed monomials, each scaled by order^e with e
-    its total divisor exponent.  The cover ring packs as the base does."""
-    n = len(variety.divisors)
-    exponent = variety.ring._leading_exponent
-    powers = [order**e for e in range(variety.dim + 1)]
-    return {m: c * powers[exponent(m, n)] for m, c in num.items()}
+        return transport(a, self.cover_ring)
 
 
 def make_cover(variety: Variety, order: int) -> CoverModel:
-    """The cover of the given order.  Its ring keeps the base generator
-    order, and each base relation row becomes a cover row with every term
-    scaled as :meth:`CoverModel.pullback` scales it; a row's scale leaves
-    the normal forms unchanged."""
-    order = _positive_integer(order)
-    if order is None:
-        raise ValueError("cover order must be a positive integer")
-    base = variety.ring
-    n = len(variety.divisors)
-    generators = [(COVER_PREFIX + name, 1) for name in variety.divisors]
-    generators.extend(zip(base.names[n:], base._degrees[n:]))
-    rows = [_transported(variety, order, row) for row in base._relations]
-    ring = GradedRing._from_relations(generators, base.cutoff, rows)
-    return CoverModel(variety, order, ring)
+    """The cover of the given order: the variety's ring with its divisors
+    renamed and rescaled, as :class:`RescaledRing` builds it."""
+    ring = RescaledRing(variety.ring, len(variety.divisors), order, COVER_PREFIX)
+    return CoverModel(variety, ring.order, ring)

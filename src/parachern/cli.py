@@ -4,15 +4,17 @@ Evaluates a scene file (or a batch of generated random scenes), runs its
 compute and verify commands, and emits a text or JSON report.  Exit codes:
 0 all commands ran and every verification passed, 1 a verification failed,
 2 parse error, 3 semantic error (including unreadable files, files that
-are not UTF-8, and missing integrals).  Reports are deterministic for fixed
-inputs and seed; timing figures are only included when requested so that
-JSON output is stable.
+are not UTF-8, and missing integrals), 141 stdout was closed before the
+report was written.  Reports are deterministic for fixed inputs and seed;
+timing figures are only included when requested so that JSON output is
+stable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -40,6 +42,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_SEMANTIC_ERROR = 3
+# What a shell reports for a process killed by SIGPIPE: 128 + 13.
+EXIT_BROKEN_PIPE = 141
 
 
 def _ct_polynomial_string(classes: Sequence[str]) -> str:
@@ -333,7 +337,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="COUNT",
         help="generate and verify COUNT random scenes instead of reading a file",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for --random")
+    parser.add_argument("--seed", type=int, help="seed for --random (default 0)")
     parser.add_argument(
         "--max-denominator",
         type=int,
@@ -381,7 +385,12 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
         if inputs:
             print("error: --random takes no scene file", file=stderr)
             return EXIT_SEMANTIC_ERROR
+        if args.seed is None:
+            args.seed = 0
         return _run_random(args, stdout, stderr)
+    if args.seed is not None:
+        print("error: --seed needs --random", file=stderr)
+        return EXIT_SEMANTIC_ERROR
     if len(inputs) != 1:
         print("error: expected exactly one scene file", file=stderr)
         return EXIT_SEMANTIC_ERROR
@@ -403,4 +412,12 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE advises: stdout now points at
+        # devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

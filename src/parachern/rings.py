@@ -4,8 +4,16 @@ This is the value layer for every class computation in the package: sparse
 polynomials in named graded generators, truncated above a fixed degree
 cutoff, and taken modulo a list of homogeneous relations.  A ring is the
 one presentation of a variety's relations, held as integer rows lhs - rhs,
-and it makes every check on generators and rules; the formal cover is
-built from the same rows.
+and it makes every check on generators and rules; the ring of a formal
+cover, a `RescaledRing`, is built from the same rows.
+
+This module owns the data format: packed monomials, numerator forms and
+each ring's memo.  No other module reads them; `chow.py`, `bundles.py`
+and the rest call only public names, which take and return elements or
+exponent tuples.  Variety models use `GradedRing.read_monomial`,
+`is_normal` and `factors`, the cover uses `RescaledRing` and `transport`, and
+bundles use `twisted_sum`, `conjugate_character` and the Newton bridges;
+`positive_integer` is the shared check of a size.
 
 Inside a ring each monomial is one packed int: exponent i in a field of
 ``cutoff.bit_length() + 1`` bits, generator 0 most significant, so int
@@ -15,11 +23,11 @@ divisibility is one subtraction.  One reader, `GradedRing._key`, packs
 every monomial on the way in, given as (name, exponent) factors: each
 factor adds its exponent into its field and its degree into the
 monomial's degree in one pass.  It reads the rule monomials, the integral
-monomials of a `Variety`, and every term of `GradedRing.element`, which
-takes named terms, (coefficient, factors) pairs; `RingElement(ring,
-terms)` hands the same reader each exponent tuple as named factors.  A
-term above the cutoff is dropped once all its factors are checked.
-Monomials are unpacked on the way out.
+monomials of a `Variety` through `read_monomial`, and every term of
+`GradedRing.element`, which takes named terms, (coefficient, factors)
+pairs; `RingElement(ring, terms)` hands the same reader each exponent
+tuple as named factors.  A term above the cutoff is dropped once all its
+factors are checked.  Monomials are unpacked on the way out.
 
 An element stores exact integer numerators over one positive denominator
 per element, reduced so that their gcd is 1.  `fractions.Fraction` appears
@@ -33,14 +41,15 @@ prints, and the degree and normal form of every monomial it meets, so
 reduction runs once per monomial and ring rather than once per product.
 Normal forms have one door, `GradedRing._expand`: the reader, every
 product, sum of products and twisted sum sum_j x_j * exp(t_j), the
-pullback to a cover and each pivot of a block reduction gather one plain
+transport to a cover and each pivot of a block reduction gather one plain
 dict of numerators over any monomials and pass it through once.  There
 `GradedRing._entry` looks each monomial up, reading a new one's degree
 from its packed int, and a non-normal one gives way to its normal form; a
-product by the unit 1 is the other factor itself.  A twisted sum reads
-each twist t_j from (generator, weight) pairs and seeds the exp series
-with x_j's numerators, so neither t_j nor its exp is ever an element;
-:func:`exp_nilpotent` runs the same loop seeded with 1.  The kernel
+product by the unit 1 is the other factor itself, and so is a twisted sum
+of one x with no twist.  A twisted sum reads each twist t_j from
+(generator, weight) pairs and seeds the exp series with x_j's numerators,
+so neither t_j nor its exp is ever an element; :func:`exp_nilpotent` runs
+the same loop seeded with 1.  The kernel
 builds each element from a canonical form through `RingElement._make`,
 which sets the three slots through their descriptors.  Nothing here
 touches floating point.
@@ -176,7 +185,7 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _positive_integer(value) -> Optional[int]:
+def positive_integer(value) -> Optional[int]:
     """``value`` as an int when it is a whole number of at least 1, else
     None; a value that ``int`` cannot read raises as ``int`` does.  A size
     such as a degree, a rank or an order is read through here, so 2.5 is
@@ -243,12 +252,12 @@ class GradedRing:
                 raise InputError("generator names must be non-empty strings", *at)
             if name in names:
                 raise InputError(f"duplicate generator name {name!r}", *at)
-            degree = _positive_integer(degree)
+            degree = positive_integer(degree)
             if degree is None:
                 raise InputError("class degree must be at least 1", *at)
             names.append(name)
             degrees.append(degree)
-        cutoff = _positive_integer(cutoff)
+        cutoff = positive_integer(cutoff)
         if cutoff is None:
             raise ValueError("cutoff must be a positive integer")
         self._names = tuple(names)
@@ -302,16 +311,6 @@ class GradedRing:
                 den = lcm(*(c.denominator for c in row.values()))
                 self._relations.append({m: int(c * den) for m, c in row.items()})
 
-    @classmethod
-    def _from_relations(
-        cls, generators, cutoff: int, relations: list[Numerators]
-    ) -> GradedRing:
-        """A ring with relation rows already in this class's form; the rows
-        are not re-checked."""
-        ring = cls(generators, cutoff)
-        ring._relations = relations
-        return ring
-
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -339,6 +338,17 @@ class GradedRing:
             degree += exp * field[1]
         return packed, degree
 
+    def read_monomial(self, spec: MonoSpec) -> tuple[Optional[Monomial], int]:
+        """The exponent tuple and the degree of a monomial, read as
+        :meth:`_key` reads it and with its errors; the tuple is None above
+        the cutoff, where a packed field may overflow."""
+        packed, degree = self._key(spec)
+        return (self._unpack(packed) if degree <= self.cutoff else None), degree
+
+    def is_normal(self, mono: Monomial) -> bool:
+        """Whether a monomial at or below the cutoff is its own normal form."""
+        return self._entry(self._pack(mono))[1] is None
+
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self._degrees))
 
@@ -347,7 +357,7 @@ class GradedRing:
         with higher exponents first."""
         return (self.monomial_degree(mono), tuple(-e for e in mono))
 
-    def _factors(self, mono: Monomial) -> Factors:
+    def factors(self, mono: Monomial) -> Factors:
         """The (name, exponent) factors of a monomial, zero exponents left
         out."""
         return tuple((name, exp) for name, exp in zip(self._names, mono) if exp)
@@ -375,7 +385,7 @@ class GradedRing:
             if i == n:
                 if remaining == 0:
                     mono = tuple(acc)
-                    if self._entry(self._pack(mono))[1] is None:
+                    if self.is_normal(mono):
                         out.append(mono)
                 return
             step = self._degrees[i]
@@ -546,6 +556,34 @@ class GradedRing:
         return f"GradedRing([{gens}], cutoff={self.cutoff}, relations={count})"
 
 
+class RescaledRing(GradedRing):
+    """A ring ``base`` with its first ``count`` generators renamed with
+    ``prefix`` and rescaled by ``order``: the ring of an order-``order``
+    cover when those generators are the divisors.
+
+    Each term is scaled by order^e, with e its total exponent in those
+    generators.  The relation rows are the base rows scaled so, and
+    :func:`transport` scales an element of ``base`` the same way.  That is
+    a graded ring isomorphism: a diagonal change of the monomial basis,
+    under which the two rings, packed alike, share their normal monomials.
+    """
+
+    def __init__(self, base: GradedRing, count: int, order: int, prefix: str):
+        order = positive_integer(order)
+        if order is None:
+            raise ValueError("cover order must be a positive integer")
+        names = [prefix + name for name in base.names[:count]]
+        names.extend(base.names[count:])
+        super().__init__(list(zip(names, base._degrees)), base.cutoff)
+        self.base, self.count, self.order = base, count, order
+        self._powers = [order**e for e in range(base.cutoff + 1)]
+        self._relations = [self._scaled(row) for row in base._relations]
+
+    def _scaled(self, num: Numerators) -> Numerators:
+        exponent, count, powers = self._leading_exponent, self.count, self._powers
+        return {m: c * powers[exponent(m, count)] for m, c in num.items()}
+
+
 class RingElement(Record):
     """A normalized element of a :class:`GradedRing`.
 
@@ -617,7 +655,7 @@ class RingElement(Record):
         for m in self._sorted():
             entry = printed.get(m)
             if entry is None:
-                factors = ring._factors(ring._unpack(m))
+                factors = ring.factors(ring._unpack(m))
                 entry = printed[m] = (factors, format_monomial(factors))
             g = gcd(num[m], den)
             coeff = f"{num[m] // g}/{den // g}" if g < den else str(num[m] // g)
@@ -854,17 +892,28 @@ def exp_nilpotent(a: RingElement) -> RingElement:
     return RingElement._make(ring, *_exp_sum(ring, [(_UNIT, 1, twist, den)]))
 
 
-def _twisted_sum(
+def transport(a: RingElement, ring: RescaledRing) -> RingElement:
+    """``a``, an element of ``ring.base``, carried into ``ring``: each term
+    scaled by order^e, with e its total exponent in the rescaled
+    generators."""
+    if a.ring is not ring.base:
+        raise RingMismatchError("element does not belong to the base ring")
+    return RingElement._make(ring, *ring._expand(ring._scaled(a._num), a._den))
+
+
+def twisted_sum(
     ring: GradedRing,
-    pairs: Iterable[tuple[NormalForm, Iterable[tuple[str, Rational]]]],
-) -> NormalForm:
-    """Canonical form of sum x * exp(sum w * G) over (x, twist) pairs: x a
-    form over any packed monomials at or below the cutoff, the twist
-    (generator name, weight) pairs, read from the names without an element
-    of its own; zero weights are skipped."""
+    pairs: Iterable[tuple[RingElement, Iterable[tuple[str, Rational]]]],
+) -> RingElement:
+    """The sum of x * exp(sum w * G) over (x, twist) pairs: x an element of
+    ``ring``, the twist (generator name, weight) pairs, read from the names
+    without an element of its own; zero weights are skipped.  A lone x with
+    no twist is x itself."""
     fields = ring._fields
     summands = []
-    for (num, den), weights in pairs:
+    for x, weights in pairs:
+        if x.ring is not ring:
+            raise RingMismatchError("elements belong to different rings")
         twist = []
         twist_den = 1
         for name, w in weights:
@@ -874,8 +923,10 @@ def _twisted_sum(
                 twist.append((1 << shift, step, w.numerator, d))
                 if twist_den % d:
                     twist_den *= d // gcd(twist_den, d)
-        summands.append((num, den, twist, twist_den))
-    return _exp_sum(ring, summands)
+        summands.append((x._num, x._den, twist, twist_den))
+    if len(summands) == 1 and not twist:
+        return x
+    return RingElement._make(ring, *_exp_sum(ring, summands))
 
 
 def _exp_sum(
@@ -887,11 +938,12 @@ def _exp_sum(
     """Canonical form of sum x * exp(t) over summands (x numerators, x
     denominator, t terms, den), t = sum_i c_i m_i / d_i from terms (m_i,
     degree of m_i >= 1, c_i, d_i), each d_i dividing den, in one integer
-    expansion; x may hold any monomials at or below the cutoff.
+    expansion; x holds an element's numerators, so its monomials are
+    memoized.
 
     For each summand one dict per degree holds numerators over
     x_den * den^top * top!, top = cutoff, seeded with x's numerators times
-    den^top * top!, each in the layer of the degree that ``_entry`` reads.
+    den^top * top!, each in the layer of its memoized degree.
     Each twist term then multiplies its series in: an entry v at m adds
     v c_i^k / (d_i^k k!) at m + k m_i for each k within the cutoff, as
     v * c_i // (d_i * k).  That is exact, since every summand at degree e
@@ -901,7 +953,6 @@ def _exp_sum(
     normal or not, then join one set of numerators over the lcm of the
     summands' denominators, which one ``_expand`` normalizes."""
     memo = ring._memo
-    entry = ring._entry
     cutoff = ring.cutoff
     degrees = range(cutoff + 1)
     fact = factorial(cutoff)
@@ -913,7 +964,7 @@ def _exp_sum(
         scale = own // x_den * fact
         layers: list[Numerators] = [{} for _ in degrees]
         for m, c in x.items():
-            layers[(memo.get(m) or entry(m))[0]][m] = c * scale
+            layers[memo[m][0]][m] = c * scale
         for mono, step, c, d in twist:
             # Top layer first, so that no entry spawned by this term spawns
             # again.
@@ -941,7 +992,7 @@ def _graded_numerators(x: RingElement, top: int) -> list[Numerators]:
     return parts
 
 
-def _conjugate_character(ch: RingElement) -> RingElement:
+def conjugate_character(ch: RingElement) -> RingElement:
     """The character of the dual class: negating every Chern root flips
     the sign of the odd graded parts."""
     memo = ch.ring._memo
@@ -956,7 +1007,7 @@ def chern_from_character(character: RingElement, rank: int) -> tuple[RingElement
     k c_k = c_0 s_k + c_1 s_(k-1) + ... + c_(k-1) s_1, one sum of products
     per class.  Classes above the ring cutoff come back as zero.
     """
-    rank = _positive_integer(rank)
+    rank = positive_integer(rank)
     if rank is None:
         raise ValueError("rank must be a positive integer")
     ring, den = character.ring, character._den
@@ -985,7 +1036,7 @@ def character_from_chern(total_chern: RingElement, rank: int) -> RingElement:
     identities solved for s_k = (-1)^(k+1) k! ch_k give
     s_k = k c_k - c_1 s_(k-1) - ... - c_(k-1) s_1.
     """
-    rank = _positive_integer(rank)
+    rank = positive_integer(rank)
     if rank is None:
         raise ValueError("bundle rank must be at least 1")
     ring, den = total_chern.ring, total_chern._den

@@ -332,8 +332,8 @@ def test_cover_bundle_requires_compatible_order(surface):
 
 
 def test_cover_character_sums_the_summands(surface, monkeypatch):
-    # V{D1:1/2} (+) V{D1:1/3} (+) O{}: the numerators of V are transported
-    # once and serve both of its summands, each with its own cover twist.
+    # V{D1:1/2} (+) V{D1:1/3} (+) O{}: the character of V is transported
+    # once and serves both of its summands, each with its own cover twist.
     ring = surface.ring
     d1 = ring.generator("D1")
     V = OrdinaryBundleClass(2, 1 + d1 + d1 ** 2)
@@ -347,15 +347,14 @@ def test_cover_character_sums_the_summands(surface, monkeypatch):
     up = cm.pullback(V.character)
     expected = up * exp_nilpotent(3 * t) + up * exp_nilpotent(2 * t) + 1
     transported = []
-    transport = bundles._transported
+    transport = bundles.transport
     monkeypatch.setattr(
         bundles,
-        "_transported",
-        lambda variety, order, num: transported.append(num)
-        or transport(variety, order, num),
+        "transport",
+        lambda a, ring: transported.append(a) or transport(a, ring),
     )
     assert cover_bundle(E, cm).character == expected
-    assert transported == [V.character._num, O.character._num]
+    assert transported == [V.character, O.character]
 
 
 # --- Chern data --------------------------------------------------------------

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -388,6 +391,38 @@ def test_random_mode_rejects_a_scene_file(tmp_path):
         code, out, err = run_capture(["--random", "1", "--seed", "3", *inputs])
         assert (code, out) == (3, "")
         assert err == "error: --random takes no scene file\n"
+
+
+def test_seed_without_random_is_rejected():
+    # --seed only seeds --random; next to a scene file it is an error, as
+    # --random with a scene file is, never silently dropped.
+    scene = GOLDEN / "valid" / "weightless.pch"
+    code, out, err = run_capture(["--seed", "3", str(scene)])
+    assert (code, out) == (3, "")
+    assert err == "error: --seed needs --random\n"
+    # --random alone still seeds with 0.
+    code, out, _ = run_capture(["--random", "1"])
+    assert code == 0
+    assert out.startswith("source: random(count=1, seed=0)\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # A reader that stops early, as `| head -c 10` does, is no failed
+    # verification.  The report is far larger than the default pipe buffer,
+    # so writing it meets the closed pipe.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "parachern", "--random", "200", "--json"]
+    with subprocess.Popen(
+        argv,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.read(10) == b'{\n  "schem'
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_evaluate_text_report_shape():

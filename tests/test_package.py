@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,52 @@ def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+# Names inside the ring kernel that carry its data format: packed
+# monomials, numerator forms, the memo and the relation rows.
+KERNEL_PRIVATES = frozenset(
+    {
+        "_num",
+        "_den",
+        "_make",
+        "_memo",
+        "_key",
+        "_unpack",
+        "_factors",
+        "_expand",
+        "_entry",
+        "_reduce_block",
+        "_leading_exponent",
+        "_degrees",
+        "_relations",
+        "_from_relations",
+        "_printed",
+    }
+)
+
+
+def test_no_module_outside_the_kernel_reads_its_format():
+    # rings.py owns the packed format; every other module goes through its
+    # public names.  The Record protocol (_fill, _of) is no kernel private.
+    package = Path(parachern.__file__).resolve().parent
+    rings = ("rings", "parachern.rings")
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module in rings:
+                found += [
+                    f"{where} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in KERNEL_PRIVATES
+            ):
+                found.append(f"{where} reads .{node.attr}")
+    assert found == []

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product, takewhile
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 import time
 from types import MappingProxyType, SimpleNamespace
@@ -16,14 +16,14 @@ from parachern.rings import (
     RingElement,
     InputError,
     RingMismatchError,
-    _conjugate_character,
-    _twisted_sum,
     character_from_chern,
     chern_from_character,
+    conjugate_character,
     exp_nilpotent,
     format_monomial,
     format_terms,
     sum_of_products,
+    twisted_sum,
 )
 from proj_bundle_oracle import pushdown
 
@@ -209,6 +209,16 @@ def test_both_factor_readers_reject_bad_factors_alike(ring, factors):
         Variety(2, ("D1", "D2"), (("H", 1),), integrals=[(factors, 1)])
     assert by_integral.value.args[0] == message
     assert by_integral.value.path == ("integrals", 0)
+
+
+def test_monomial_readers(ring):
+    # Repeated names add up; above the cutoff only the degree is read.
+    assert ring.read_monomial([("D1", 1), ("H", 1), ("D1", 0)]) == ((1, 0, 1), 2)
+    assert ring.read_monomial({"D2": 2}) == ((0, 2, 0), 2)
+    assert ring.read_monomial({"H": 7}) == (None, 7)
+    assert ring.factors((1, 0, 1)) == (("D1", 1), ("H", 1))
+    # The rule D1*D2 = 0 rewrites D1*D2.
+    assert ring.is_normal((2, 0, 0)) and not ring.is_normal((1, 1, 0))
 
 
 def test_rules_above_the_cutoff_may_overflow_their_fields():
@@ -884,10 +894,10 @@ def test_conjugate_character_flips_odd_graded_parts(data):
     for k in range(ring.cutoff + 1):
         part = ch.graded_part(k)
         expected = expected + (-part if k % 2 else part)
-    conjugate = _conjugate_character(ch)
+    conjugate = conjugate_character(ch)
     assert conjugate == expected
     assert_canonical(conjugate)
-    assert _conjugate_character(conjugate) == ch
+    assert conjugate_character(conjugate) == ch
 
 
 @pytest.mark.parametrize("make_ring", RING_FACTORIES)
@@ -972,40 +982,25 @@ def twists(ring):
     return st.lists(st.tuples(st.sampled_from(ring.names), weight), max_size=3)
 
 
-@st.composite
-def raw_seeds(draw, ring):
-    """(x, its numerators and denominator): x from raw terms at or below the
-    cutoff, its numerators over packed monomials as written, non-normal
-    ones included, as a seed of a twisted sum may be."""
-    raw = {
-        mono: c
-        for mono, c in draw(raw_terms(ring)).items()
-        if ring.monomial_degree(mono) <= ring.cutoff
-    }
-    den = lcm(*(c.denominator for c in raw.values()))
-    num = {ring._pack(mono): int(c * den) for mono, c in raw.items() if c}
-    return RingElement(ring, raw), (num, den)
-
-
 @pytest.mark.parametrize("make_ring", RING_FACTORIES)
 @given(data=st.data())
 def test_twisted_sum_matches_the_plain_series(make_ring, data):
-    # A fresh ring per example, so that seed monomials are new to its memo.
     ring = make_ring()
-    pairs = data.draw(st.lists(st.tuples(raw_seeds(ring), twists(ring)), max_size=3))
+    pairs = data.draw(st.lists(st.tuples(elements(ring), twists(ring)), max_size=3))
     expected = ring.zero()
-    for (x, _), twist in pairs:
+    for x, twist in pairs:
         expected += x * series_exp(ring.element((w, {name: 1}) for name, w in twist))
-    form = _twisted_sum(ring, [(seed, twist) for (_, seed), twist in pairs])
-    total = RingElement._make(ring, *form)
+    total = twisted_sum(ring, pairs)
     assert total == expected
     assert_canonical(total)
-    # exp is the twist of 1.
+    # exp is the twist of 1, and a lone element with no twist is itself.
     twist = data.draw(twists(ring))
     a = ring.element((w, {name: 1}) for name, w in twist)
-    assert exp_nilpotent(a) == RingElement._make(
-        ring, *_twisted_sum(ring, [(({0: 1}, 1), twist)])
-    )
+    assert exp_nilpotent(a) == twisted_sum(ring, [(ring.one(), twist)])
+    x = data.draw(elements(ring))
+    assert twisted_sum(ring, [(x, [])]) is x
+    with pytest.raises(RingMismatchError):
+        twisted_sum(make_ring(), [(x, twist)])
 
 
 def reference_print(x):
