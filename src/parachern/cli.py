@@ -13,6 +13,7 @@ stable.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import random
@@ -355,10 +356,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _read_error(exc: OSError | UnicodeDecodeError) -> Diagnostic:
     """The diagnostic of a scene file that cannot be read; a file that is
     not UTF-8 is positioned at its first bad byte, the column counted in
-    characters as the lexer counts it."""
+    characters as the lexer counts it, after a leading byte-order mark."""
     if isinstance(exc, OSError):
         return Diagnostic("error", f"cannot read file: {exc}", 1, 1)
-    head = exc.object[: exc.start]
+    head = exc.object[: exc.start].removeprefix(codecs.BOM_UTF8)
     line_start = head.rfind(b"\n") + 1
     column = len(head[line_start:].decode("utf-8")) + 1
     message = (
@@ -396,7 +397,9 @@ def run(argv=None, *, stdout=None, stderr=None) -> int:
         return EXIT_SEMANTIC_ERROR
     path = Path(inputs[0])
     try:
-        text = path.read_text(encoding="utf-8")
+        # A leading byte-order mark is skipped.  Not "utf-8-sig": through a
+        # text stream it reads a file that is only part of a mark as empty.
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         report = _error_report(path.name, SceneError([_read_error(exc)]))
     else:

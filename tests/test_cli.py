@@ -244,6 +244,9 @@ def test_unreadable_file():
         (b"variety X dim 1;\xff", 1, 17),
         # Columns count characters, as the lexer's do: \xc3\xa9 is one.
         (b"variety X dim 1;\n# \xc3\xa9\n  \xc3\xa9 \xc3(", 3, 5),
+        # Line 1 counts its columns after a leading byte-order mark.
+        (b"\xef\xbb\xbfvariety X dim 1;\xff", 1, 17),
+        (b"\xef\xbb\xbf\xff", 1, 1),
     ],
 )
 def test_file_that_is_not_utf8_is_a_positioned_semantic_error(
@@ -259,6 +262,17 @@ def test_file_that_is_not_utf8_is_a_positioned_semantic_error(
     (diagnostic,) = json.loads(out)["diagnostics"]
     assert code == 3
     assert (diagnostic["line"], diagnostic["column"]) == (line, column)
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    scene = tmp_path / "scene.pch"
+    text = b"variety X dim 1;\ndivisor D;\nparabolic E = O{D:1/2};\ncompute chern E;\n"
+    reports = []
+    for data in (text, b"\xef\xbb\xbf" + text):
+        scene.write_bytes(data)
+        reports.append(run_capture(["--json", str(scene)]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
 
 
 def test_no_input_is_usage_error():

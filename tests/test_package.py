@@ -34,7 +34,8 @@ def test_cli_import_leaves_out_the_heavy_stdlib_modules():
 
 
 # Names inside the ring kernel that carry its data format: packed
-# monomials, numerator forms, the memo and the relation rows.
+# monomials, numerator forms, the memo, the relation rows and the cover's
+# scale powers.  ``_fields`` is left out: it is also the Record protocol's.
 KERNEL_PRIVATES = frozenset(
     {
         "_num",
@@ -43,17 +44,43 @@ KERNEL_PRIVATES = frozenset(
         "_memo",
         "_key",
         "_unpack",
-        "_factors",
         "_expand",
         "_entry",
         "_reduce_block",
         "_leading_exponent",
         "_degrees",
         "_relations",
-        "_from_relations",
         "_printed",
+        "_names",
+        "_shifts",
+        "_mask",
+        "_guard",
+        "_heavy",
+        "_width",
+        "_pack",
+        "_read",
+        "_scaled",
+        "_powers",
+        "_sorted",
+        "_coerce",
     }
 )
+
+
+def test_every_kernel_private_is_defined_in_the_kernel():
+    # A stale name would guard nothing.  rings.py defines a private as a
+    # method, a slot or an attribute it assigns.
+    rings = Path(parachern.__file__).resolve().parent / "rings.py"
+    defined = set()
+    for node in ast.walk(ast.parse(rings.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign):
+            if ast.unparse(node.targets[0]) == "__slots__":
+                defined.update(ast.literal_eval(node.value))
+    assert sorted(KERNEL_PRIVATES - defined) == []
 
 
 def test_no_module_outside_the_kernel_reads_its_format():
